@@ -12,7 +12,11 @@
 #   4. the same kill/resume under --faults=storm with the invariant auditor
 #      on (MEMTIS_AUDIT=1) and an --audit-json sink: result AND audit
 #      document both byte-identical to their uninterrupted twins;
-#   5. distributed: a --serve=0 socket campaign with --checkpoint-ns and four
+#   5. kill/resume of tiering-0.8 and tpp on btree after the first and after
+#      the second snapshot: tiering-0.8 is the one policy that draws from the
+#      engine RNG, so a missed RNG-stream restore shows up here first (the
+#      first btree snapshot precedes every RNG draw; the second does not);
+#   6. distributed: a --serve=0 socket campaign with --checkpoint-ns and four
 #      workers sharing a snapshot directory — every child self-SIGKILLs after
 #      its first snapshot, and one worker is additionally kill -9'd while
 #      holding a lease so a peer resumes its cell — merged output
@@ -77,6 +81,24 @@ cmp -s "$STORM_REF" "$STORM_OUT" \
   || fail "storm kill/resume result differs"
 cmp -s "$STORM_REF_AUDIT" "$STORM_AUDIT" \
   || fail "storm kill/resume audit document differs"
+
+# --- kill/resume of the hint-fault policies (engine-RNG consumer) --------
+RNG_ARGS=(--systems=tiering-0.8,tpp --benchmarks=btree --accesses=50000
+          --quiet --supervise)
+RNG_REF="$WORK/rng_ref.json"
+"$MEMTIS_RUN" "${RNG_ARGS[@]}" --out="$RNG_REF" \
+  || fail "tiering-0.8/tpp reference failed"
+for KILL_AFTER in 1 2; do
+  RNG_OUT="$WORK/rng_kill$KILL_AFTER.json"
+  MEMTIS_KILL_AFTER_CHECKPOINTS="$KILL_AFTER" \
+    "$MEMTIS_RUN" "${RNG_ARGS[@]}" --checkpoint-ns="$CKPT_NS" \
+    --checkpoint-dir="$WORK/ckpt-rng$KILL_AFTER" --out="$RNG_OUT" \
+    || fail "tiering-0.8/tpp kill@$KILL_AFTER/resume sweep failed"
+  ls "$WORK/ckpt-rng$KILL_AFTER"/*.s[01] >/dev/null 2>&1 \
+    || fail "tiering-0.8/tpp kill@$KILL_AFTER/resume run left no snapshot files"
+  cmp -s "$RNG_REF" "$RNG_OUT" \
+    || fail "tiering-0.8/tpp kill@$KILL_AFTER/resume result differs"
+done
 
 # --- distributed: 4 workers, self-SIGKILLs + one worker kill -9'd --------
 DIST_OUT="$WORK/dist.json"

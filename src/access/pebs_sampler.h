@@ -126,41 +126,24 @@ class PebsSampler {
 
   // Checkpointing: periods, countdowns (signed — the batched path can drive
   // them through zero), controller clocks, buffer fill, and stats.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t p : period_) w.U64(p);
-    for (int64_t c : countdown_) w.I64(c);
-    w.U64(busy_ns_);
-    w.U64(window_busy_ns_);
-    w.U64(last_adjust_ns_);
-    w.U64(buffer_fill_);
-    w.U64(last_drain_ns_);
-    usage_ema_.SaveState(w);
-    for (uint64_t s : stats_.samples) w.U64(s);
-    for (uint64_t d : stats_.dropped) w.U64(d);
-    w.U64(stats_.overflow_drops);
-    w.U64(stats_.fault_drops);
-    w.U64(stats_.period_raises);
-    w.U64(stats_.period_drops);
-    w.U64(stats_.last_period_change_ns);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& p : period_) p = r.U64();
-    for (int64_t& c : countdown_) c = r.I64();
-    busy_ns_ = r.U64();
-    window_busy_ns_ = r.U64();
-    last_adjust_ns_ = r.U64();
-    buffer_fill_ = r.U64();
-    last_drain_ns_ = r.U64();
-    usage_ema_.LoadState(r);
-    for (uint64_t& s : stats_.samples) s = r.U64();
-    for (uint64_t& d : stats_.dropped) d = r.U64();
-    stats_.overflow_drops = r.U64();
-    stats_.fault_drops = r.U64();
-    stats_.period_raises = r.U64();
-    stats_.period_drops = r.U64();
-    stats_.last_period_change_ns = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    for (auto& p : self.period_) ar.U64(p);
+    for (auto& c : self.countdown_) ar.I64(c);
+    ar.U64(self.busy_ns_);
+    ar.U64(self.window_busy_ns_);
+    ar.U64(self.last_adjust_ns_);
+    ar.U64(self.buffer_fill_);
+    ar.U64(self.last_drain_ns_);
+    Ema::Serialize(ar, self.usage_ema_);
+    auto& stats = self.stats_;
+    for (auto& s : stats.samples) ar.U64(s);
+    for (auto& d : stats.dropped) ar.U64(d);
+    ar.U64(stats.overflow_drops);
+    ar.U64(stats.fault_drops);
+    ar.U64(stats.period_raises);
+    ar.U64(stats.period_drops);
+    ar.U64(stats.last_period_change_ns);
   }
 
  private:

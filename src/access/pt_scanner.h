@@ -61,24 +61,12 @@ class PtScanner {
 
   // Checkpointing: the referenced bitmap is sized lazily, so the restored
   // vector adopts the snapshot's length.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(referenced_.size());
-    w.Bytes(referenced_.data(), referenced_.size());
-    w.U64(busy_ns_);
-    w.U64(scans_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    const uint64_t n = r.U64();
-    if (n > (1ull << 32)) {
-      r.Fail();
-      return;
-    }
-    referenced_.assign(n, 0);
-    r.Bytes(referenced_.data(), referenced_.size());
-    busy_ns_ = r.U64();
-    scans_ = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    if (!ar.Count(self.referenced_, 1ull << 32)) return;
+    ar.Bytes(self.referenced_.data(), self.referenced_.size());
+    ar.U64(self.busy_ns_);
+    ar.U64(self.scans_);
   }
 
  private:

@@ -8,6 +8,7 @@
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
 #include "src/memtis/memtis_policy.h"
+#include "src/snapshot/json_field.h"
 #include "src/snapshot/serializer.h"
 
 namespace memtis {
@@ -569,21 +570,15 @@ void InvariantAuditor::AuditNow(Engine& engine, bool include_expensive) {
   }
 }
 
-void InvariantAuditor::SaveState(StateWriter& w) const {
-  w.Section(0x41554454u);  // "AUDT"
-  w.Str(report_.ToJson());
-  w.U64(ticks_seen_);
-  w.U64(audits_run_);
+template <typename Archive, typename Self>
+void InvariantAuditor::Serialize(Archive& ar, Self& self) {
+  ar.Section(0x41554454u);  // "AUDT"
+  SerializeJson(ar, self.report_);
+  ar.U64(self.ticks_seen_);
+  ar.U64(self.audits_run_);
 }
 
-void InvariantAuditor::LoadState(StateReader& r) {
-  r.Section(0x41554454u);
-  JsonValue v;
-  if (!JsonValue::Parse(r.Str(), &v) || !AuditReport::FromJson(v, &report_)) {
-    r.Fail();
-  }
-  ticks_seen_ = r.U64();
-  audits_run_ = r.U64();
-}
+template void InvariantAuditor::Serialize(StateWriter&, const InvariantAuditor&);
+template void InvariantAuditor::Serialize(StateReader&, InvariantAuditor&);
 
 }  // namespace memtis

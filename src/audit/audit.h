@@ -216,8 +216,9 @@ class InvariantAuditor : public EngineObserver {
   // Checkpointing: the report (lossless JSON codec) plus the tick/audit
   // counters, so a restored run's audit document matches the uninterrupted
   // one byte for byte. Registered checks are reconstructed by construction.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Instantiated for (StateWriter, const T) and (StateReader, T).
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self);
 
  private:
   struct Check {

@@ -40,26 +40,18 @@ void AuditSession::WriteJson(JsonWriter& w) const {
   w.EndObject();
 }
 
-void AuditSession::SaveState(StateWriter& w) const {
-  auditor_.SaveState(w);
-  w.Bool(recorder_.has_value());
-  if (recorder_.has_value()) {
-    recorder_->SaveState(w);
+template <typename Archive, typename Self>
+void AuditSession::Serialize(Archive& ar, Self& self) {
+  InvariantAuditor::Serialize(ar, self.auditor_);
+  // A snapshot taken by a session with different options does not restore.
+  ar.Expect(self.recorder_.has_value());
+  if (self.recorder_.has_value()) {
+    EpochRecorder::Serialize(ar, *self.recorder_);
   }
 }
 
-void AuditSession::LoadState(StateReader& r) {
-  auditor_.LoadState(r);
-  const bool had_recorder = r.Bool();
-  if (had_recorder != recorder_.has_value()) {
-    // Snapshot was taken by a session with different options.
-    r.Fail();
-    return;
-  }
-  if (recorder_.has_value()) {
-    recorder_->LoadState(r);
-  }
-}
+template void AuditSession::Serialize(StateWriter&, const AuditSession&);
+template void AuditSession::Serialize(StateReader&, AuditSession&);
 
 bool EnvAuditEnabled() {
   const char* env = std::getenv("MEMTIS_AUDIT");

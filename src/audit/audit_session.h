@@ -38,10 +38,11 @@ class AuditSession : public EngineObserver {
   // {"report": {...}, "epochs": {...}?}
   void WriteJson(JsonWriter& w) const;
 
-  // Checkpointing: auditor + (optional) recorder state. LoadState requires a
+  // Checkpointing: auditor + (optional) recorder state. Loading requires a
   // session constructed with the same options (recorder presence must match).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Instantiated for (StateWriter, const T) and (StateReader, T).
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self);
 
  private:
   InvariantAuditor auditor_;

@@ -5,6 +5,7 @@
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
 #include "src/memtis/memtis_policy.h"
+#include "src/snapshot/json_field.h"
 #include "src/snapshot/serializer.h"
 
 namespace memtis {
@@ -196,61 +197,30 @@ std::vector<EpochSample> EpochRecorder::samples() const {
   return out;
 }
 
-void EpochRecorder::SaveState(StateWriter& w) const {
-  w.Section(0x45504348u);  // "EPCH"
-  // Raw ring order (not chronological): LoadState restores slots verbatim so
-  // the wrap arithmetic keyed on recorded_total_ keeps working.
-  w.U64(ring_.size());
-  for (const EpochSample& s : ring_) {
-    std::string json;
-    JsonWriter jw(&json);
-    s.WriteJson(jw);
-    w.Str(json);
-  }
-  w.U64(recorded_total_);
-  w.U64(next_epoch_ns_);
-  w.U64(prev_.accesses);
-  w.U64(prev_.promoted_4k);
-  w.U64(prev_.demoted_4k);
-  w.U64(prev_.splits);
-  w.U64(prev_.collapses);
-  w.U64(prev_.demand_faults);
-  w.U64(prev_.shootdowns);
-  w.U64(prev_.samples);
-  w.U64(prev_.period_raises);
-  w.U64(prev_.period_drops);
+template <typename Archive, typename Self>
+void EpochRecorder::Serialize(Archive& ar, Self& self) {
+  ar.Section(0x45504348u);  // "EPCH"
+  // Raw ring order (not chronological): slots restore verbatim so the wrap
+  // arithmetic keyed on recorded_total_ keeps working.
+  if (!ar.Count(self.ring_, self.options_.capacity)) return;
+  for (auto& sample : self.ring_) SerializeJson(ar, sample);
+  ar.U64(self.recorded_total_);
+  ar.U64(self.next_epoch_ns_);
+  auto& prev = self.prev_;
+  ar.U64(prev.accesses);
+  ar.U64(prev.promoted_4k);
+  ar.U64(prev.demoted_4k);
+  ar.U64(prev.splits);
+  ar.U64(prev.collapses);
+  ar.U64(prev.demand_faults);
+  ar.U64(prev.shootdowns);
+  ar.U64(prev.samples);
+  ar.U64(prev.period_raises);
+  ar.U64(prev.period_drops);
 }
 
-void EpochRecorder::LoadState(StateReader& r) {
-  r.Section(0x45504348u);
-  const uint64_t n = r.U64();
-  if (n > options_.capacity) {
-    r.Fail();
-    return;
-  }
-  ring_.clear();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    JsonValue v;
-    EpochSample s;
-    if (!JsonValue::Parse(r.Str(), &v) || !EpochSample::FromJson(v, &s)) {
-      r.Fail();
-      return;
-    }
-    ring_.push_back(std::move(s));
-  }
-  recorded_total_ = r.U64();
-  next_epoch_ns_ = r.U64();
-  prev_.accesses = r.U64();
-  prev_.promoted_4k = r.U64();
-  prev_.demoted_4k = r.U64();
-  prev_.splits = r.U64();
-  prev_.collapses = r.U64();
-  prev_.demand_faults = r.U64();
-  prev_.shootdowns = r.U64();
-  prev_.samples = r.U64();
-  prev_.period_raises = r.U64();
-  prev_.period_drops = r.U64();
-}
+template void EpochRecorder::Serialize(StateWriter&, const EpochRecorder&);
+template void EpochRecorder::Serialize(StateReader&, EpochRecorder&);
 
 void EpochRecorder::WriteJson(JsonWriter& w) const {
   w.BeginObject();

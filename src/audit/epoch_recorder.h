@@ -20,8 +20,6 @@ namespace memtis {
 
 class JsonWriter;
 class JsonValue;
-class StateWriter;
-class StateReader;
 
 // One epoch's worth of telemetry. Event counters are deltas over the epoch;
 // occupancy, periods, thresholds, bins, and backlogs are sampled at its end.
@@ -101,8 +99,9 @@ class EpochRecorder : public EngineObserver {
 
   // Checkpointing: ring slots (raw index order, via the EpochSample JSON
   // codec), total count, and the epoch schedule/delta baselines.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Instantiated for (StateWriter, const T) and (StateReader, T).
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self);
 
  private:
   void Record(Engine& engine);

@@ -45,13 +45,9 @@ class Rng {
 
   // Stream-position checkpointing: the four state words are the entire
   // generator, so saving and restoring them resumes the exact sequence.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t word : s_) w.U64(word);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& word : s_) word = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    for (auto& word : self.s_) ar.U64(word);
   }
 
  private:

@@ -21,21 +21,13 @@ class RunningStat {
   double min() const { return min_; }
   double max() const { return max_; }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(count_);
-    w.F64(mean_);
-    w.F64(m2_);
-    w.F64(min_);
-    w.F64(max_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    count_ = r.U64();
-    mean_ = r.F64();
-    m2_ = r.F64();
-    min_ = r.F64();
-    max_ = r.F64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.U64(self.count_);
+    ar.F64(self.mean_);
+    ar.F64(self.m2_);
+    ar.F64(self.min_);
+    ar.F64(self.max_);
   }
 
  private:
@@ -56,15 +48,10 @@ class Ema {
   double value() const { return value_; }
   bool initialized() const { return initialized_; }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.F64(value_);
-    w.Bool(initialized_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    value_ = r.F64();
-    initialized_ = r.Bool();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.F64(self.value_);
+    ar.Bool(self.initialized_);
   }
 
  private:

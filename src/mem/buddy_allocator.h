@@ -58,30 +58,16 @@ class BuddyAllocator {
   // the head), so links_/state_/heads are serialized verbatim rather than
   // re-derived. total_frames_ is configuration — the loader cross-checks it
   // and rejects a mismatched snapshot.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(total_frames_);
-    w.U64(free_frames_);
-    for (FrameId head : free_head_) w.U64(head);
-    for (const Block& b : links_) {
-      w.U64(b.next);
-      w.U64(b.prev);
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Expect(self.total_frames_);
+    ar.U64(self.free_frames_);
+    for (auto& head : self.free_head_) ar.U64(head);
+    for (auto& b : self.links_) {
+      ar.U64(b.next);
+      ar.U64(b.prev);
     }
-    w.Bytes(state_.data(), state_.size());
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    if (r.U64() != total_frames_) {
-      r.Fail();
-      return;
-    }
-    free_frames_ = r.U64();
-    for (FrameId& head : free_head_) head = r.U64();
-    for (Block& b : links_) {
-      b.next = r.U64();
-      b.prev = r.U64();
-    }
-    r.Bytes(state_.data(), state_.size());
+    ar.Bytes(self.state_.data(), self.state_.size());
   }
 
  private:

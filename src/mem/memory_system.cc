@@ -899,286 +899,199 @@ namespace {
 constexpr uint32_t kSectionMem = 0x4d454d53;  // "MEMS"
 constexpr uint32_t kSectionTenants = 0x544e5453;
 
-void SaveTenant(StateWriter& w, const TenantFrameStats& t) {
-  w.U64(t.mapped_4k_tier[0]);
-  w.U64(t.mapped_4k_tier[1]);
-  w.U64(t.quota_frames);
-  w.U64(t.borrow_frames);
-  w.U64(t.quota_denied_allocs);
-  w.U64(t.quota_denied_promotions);
-  w.U64(t.quota_steals);
-  w.U64(t.budget_denied_promotions);
-  w.Bool(t.budget.active);
-  w.U64(t.budget.rate_per_ms);
-  w.U64(t.budget.burst);
-  w.U64(t.budget.tokens);
-  w.U64(t.budget.last_refill_ns);
-  w.U64(t.budget.consumed_pages);
-  w.U64(t.budget.credited_pages);
+template <typename Archive, typename T>
+void SerializeTenant(Archive& ar, T& t) {
+  ar.U64(t.mapped_4k_tier[0]);
+  ar.U64(t.mapped_4k_tier[1]);
+  ar.U64(t.quota_frames);
+  ar.U64(t.borrow_frames);
+  ar.U64(t.quota_denied_allocs);
+  ar.U64(t.quota_denied_promotions);
+  ar.U64(t.quota_steals);
+  ar.U64(t.budget_denied_promotions);
+  ar.Bool(t.budget.active);
+  ar.U64(t.budget.rate_per_ms);
+  ar.U64(t.budget.burst);
+  ar.U64(t.budget.tokens);
+  ar.U64(t.budget.last_refill_ns);
+  ar.U64(t.budget.consumed_pages);
+  ar.U64(t.budget.credited_pages);
 }
 
-void LoadTenant(StateReader& r, TenantFrameStats& t) {
-  t.mapped_4k_tier[0] = r.U64();
-  t.mapped_4k_tier[1] = r.U64();
-  t.quota_frames = r.U64();
-  t.borrow_frames = r.U64();
-  t.quota_denied_allocs = r.U64();
-  t.quota_denied_promotions = r.U64();
-  t.quota_steals = r.U64();
-  t.budget_denied_promotions = r.U64();
-  t.budget.active = r.Bool();
-  t.budget.rate_per_ms = r.U64();
-  t.budget.burst = r.U64();
-  t.budget.tokens = r.U64();
-  t.budget.last_refill_ns = r.U64();
-  t.budget.consumed_pages = r.U64();
-  t.budget.credited_pages = r.U64();
+// Per-subpage counters verbatim; the bitsets travel as '0'/'1' strings.
+template <typename Archive, typename T>
+void SerializeHugeMeta(Archive& ar, T& huge) {
+  for (auto& c : huge.subpage_count) ar.U32(c);
+  std::string accessed;
+  std::string written;
+  if constexpr (!Archive::kReading) {
+    accessed = huge.accessed.to_string();
+    written = huge.written.to_string();
+  }
+  ar.Str(accessed);
+  ar.Str(written);
+  if constexpr (Archive::kReading) {
+    if (accessed.size() != kSubpagesPerHuge ||
+        written.size() != kSubpagesPerHuge) {
+      ar.Fail();
+      return;
+    }
+    huge.accessed = std::bitset<kSubpagesPerHuge>(accessed);
+    huge.written = std::bitset<kSubpagesPerHuge>(written);
+  }
+  ar.U32(huge.nonzero_subpages);
+}
+
+// An ordered map as a bounded count of (key, value) entries; `entry` walks
+// one pair. The reader rebuilds the map from scratch.
+template <typename Archive, typename Map, typename Fn>
+bool SerializeMap(Archive& ar, Map& map, Fn&& entry) {
+  uint64_t n = map.size();
+  if (!ar.Count(n, 1ull << 32)) return false;
+  if constexpr (Archive::kReading) {
+    map.clear();
+    for (uint64_t i = 0; i < n; ++i) {
+      typename Map::key_type key{};
+      typename Map::mapped_type value{};
+      entry(key, value);
+      map.emplace(key, value);
+    }
+  } else {
+    for (auto& [key, value] : map) entry(key, value);
+  }
+  return true;
 }
 }  // namespace
 
-void MemorySystem::SaveState(StateWriter& w) const {
-  SIM_CHECK(!in_steal_);  // checkpoints only fire at engine-loop safe points
-  w.Section(kSectionMem);
-  for (const MemoryTier& tier : tiers_) {
-    tier.allocator().SaveState(w);
+template <typename Archive, typename Self>
+void MemorySystem::Serialize(Archive& ar, Self& self) {
+  constexpr bool kReading = Archive::kReading;
+  if constexpr (!kReading) {
+    SIM_CHECK(!self.in_steal_);  // checkpoints fire at engine-loop safe points
+  }
+  ar.Section(kSectionMem);
+  for (auto& tier : self.tiers_) {
+    BuddyAllocator::Serialize(ar, tier.allocator());
   }
 
-  w.U64(pages_.size());
-  for (PageIndex i = 0; i < pages_.size(); ++i) {
-    const PageInfo& p = pages_[i];
-    w.U32(p.generation);
-    w.Bool(p.live);
+  if (!ar.Count(self.pages_, 1ull << 32)) return;
+  const uint64_t slots = self.pages_.size();
+  auto& hot = self.hot_;
+  if constexpr (kReading) {
+    hot = PageHotArrays{};
+    hot.Resize(slots);
+  }
+  for (PageIndex i = 0; i < slots; ++i) {
+    auto& p = self.pages_[i];
+    if constexpr (kReading) {
+      p.hot = &hot;
+      p.self = i;
+    }
+    ar.U32(p.generation);
+    ar.Bool(p.live);
     if (!p.live) {
       continue;
     }
-    w.U64(p.base_vpn);
-    w.U32(p.tenant);
-    w.U32(p.cooling_epoch);
-    w.U8(p.histogram_bin);
-    w.Bool(p.in_promotion_list);
-    w.Bool(p.in_demotion_list);
-    w.Bool(p.split_queued);
-    w.U64(p.alloc_time_ns);
-    w.U64(p.policy_word0);
-    w.U64(p.policy_word1);
-    w.U8(static_cast<uint8_t>(hot_.kind[i]));
-    w.U8(static_cast<uint8_t>(hot_.tier[i]));
-    w.U64(hot_.frame[i]);
-    w.U64(hot_.access_count[i]);
-    w.Bool(p.huge != nullptr);
-    if (p.huge != nullptr) {
-      for (uint32_t c : p.huge->subpage_count) w.U32(c);
-      const std::string accessed = p.huge->accessed.to_string();
-      const std::string written = p.huge->written.to_string();
-      w.Str(accessed);
-      w.Str(written);
-      w.U32(p.huge->nonzero_subpages);
-    }
-  }
-
-  w.U64(free_slots_.size());
-  for (PageIndex slot : free_slots_) w.U32(slot);
-
-  w.U64(page_table_.size());
-  for (PageIndex e : page_table_) w.U32(e);
-
-  w.U64(live_pages_);
-  w.U64(mapped_4k_);
-  w.U64(huge_pages_);
-  w.U64(mapped_4k_tier_[0]);
-  w.U64(mapped_4k_tier_[1]);
-  w.U64(written_subpages_);
-  w.U64(huge_meta_pool_.size());
-  w.U64(huge_meta_allocated_);
-  w.U64(pinned_frames_);
-  w.U64(pinned_per_tier_[0]);
-  w.U64(pinned_per_tier_[1]);
-
-  w.U64(regions_.size());
-  for (const auto& [vpn, region] : regions_) {
-    w.U64(vpn);
-    w.U64(region.start_vpn);
-    w.U64(region.num_pages);
-    w.U32(region.tenant);
-  }
-  w.U64(free_vpn_ranges_.size());
-  for (const auto& [vpn, len] : free_vpn_ranges_) {
-    w.U64(vpn);
-    w.U64(len);
-  }
-  w.U64(vpn_bump_);
-  w.U64(max_free_range_bound_);
-
-  const MigrationStats& m = migration_stats_;
-  w.U64(m.promoted_base);
-  w.U64(m.promoted_huge);
-  w.U64(m.demoted_base);
-  w.U64(m.demoted_huge);
-  w.U64(m.failed_migrations);
-  w.U64(m.aborted_migrations);
-  w.U64(m.splits);
-  w.U64(m.collapses);
-  w.U64(m.freed_zero_subpages);
-  w.U64(m.demand_faults);
-  w.U64(m.exchanges);
-  w.U64(m.exchanged_huge);
-  w.U64(m.failed_exchanges);
-  w.U64(m.aborted_exchanges);
-
-  w.Section(kSectionTenants);
-  w.U64(tenants_.size());
-  for (const TenantFrameStats& t : tenants_) SaveTenant(w, t);
-  w.U32(current_tenant_);
-}
-
-void MemorySystem::LoadState(StateReader& r) {
-  r.Section(kSectionMem);
-  for (MemoryTier& tier : tiers_) {
-    tier.allocator().LoadState(r);
-  }
-
-  const uint64_t slots = r.U64();
-  if (!r.ok() || slots > (1ull << 32)) {
-    r.Fail();
-    return;
-  }
-  pages_.clear();
-  pages_.resize(slots);
-  hot_ = PageHotArrays{};
-  hot_.Resize(slots);
-  for (PageIndex i = 0; i < slots && r.ok(); ++i) {
-    PageInfo& p = pages_[i];
-    p.hot = &hot_;
-    p.self = i;
-    p.generation = r.U32();
-    p.live = r.Bool();
-    if (!p.live) {
-      continue;
-    }
-    p.base_vpn = r.U64();
-    p.tenant = static_cast<TenantId>(r.U32());
-    p.cooling_epoch = r.U32();
-    p.histogram_bin = r.U8();
-    p.in_promotion_list = r.Bool();
-    p.in_demotion_list = r.Bool();
-    p.split_queued = r.Bool();
-    p.alloc_time_ns = r.U64();
-    p.policy_word0 = r.U64();
-    p.policy_word1 = r.U64();
-    hot_.kind[i] = static_cast<PageKind>(r.U8());
-    hot_.tier[i] = static_cast<TierId>(r.U8());
-    hot_.frame[i] = r.U64();
-    hot_.access_count[i] = r.U64();
-    if (r.Bool()) {
-      p.huge = std::make_unique<HugePageMeta>();
-      for (uint32_t& c : p.huge->subpage_count) c = r.U32();
-      const std::string accessed = r.Str();
-      const std::string written = r.Str();
-      if (accessed.size() != kSubpagesPerHuge ||
-          written.size() != kSubpagesPerHuge) {
-        r.Fail();
-        return;
+    ar.U64(p.base_vpn);
+    ar.U32(p.tenant);
+    ar.U32(p.cooling_epoch);
+    ar.U8(p.histogram_bin);
+    ar.Bool(p.in_promotion_list);
+    ar.Bool(p.in_demotion_list);
+    ar.Bool(p.split_queued);
+    ar.U64(p.alloc_time_ns);
+    ar.U64(p.policy_word0);
+    ar.U64(p.policy_word1);
+    ar.U8(hot.kind[i]);
+    ar.U8(hot.tier[i]);
+    ar.U64(hot.frame[i]);
+    ar.U64(hot.access_count[i]);
+    bool huge = p.huge != nullptr;
+    ar.Bool(huge);
+    if (huge) {
+      if constexpr (kReading) {
+        p.huge = std::make_unique<HugePageMeta>();
       }
-      p.huge->accessed = std::bitset<kSubpagesPerHuge>(accessed);
-      p.huge->written = std::bitset<kSubpagesPerHuge>(written);
-      p.huge->nonzero_subpages = r.U32();
+      SerializeHugeMeta(ar, *p.huge);
     }
   }
 
-  const uint64_t num_free = r.U64();
-  if (!r.ok() || num_free > slots) {
-    r.Fail();
-    return;
-  }
-  free_slots_.clear();
-  free_slots_.reserve(num_free);
-  for (uint64_t i = 0; i < num_free; ++i) {
-    free_slots_.push_back(static_cast<PageIndex>(r.U32()));
-  }
+  if (!ar.Count(self.free_slots_, slots)) return;
+  for (auto& slot : self.free_slots_) ar.U32(slot);
+  if (!ar.Count(self.page_table_, 1ull << 40)) return;
+  for (auto& e : self.page_table_) ar.U32(e);
 
-  const uint64_t table = r.U64();
-  if (!r.ok() || table > (1ull << 40)) {
-    r.Fail();
-    return;
+  ar.U64(self.live_pages_);
+  ar.U64(self.mapped_4k_);
+  ar.U64(self.huge_pages_);
+  ar.U64(self.mapped_4k_tier_[0]);
+  ar.U64(self.mapped_4k_tier_[1]);
+  ar.U64(self.written_subpages_);
+  // Pooled HugePageMeta buffers carry no state: only their number travels.
+  uint64_t pooled = self.huge_meta_pool_.size();
+  ar.U64(pooled);
+  ar.U64(self.huge_meta_allocated_);
+  if constexpr (kReading) {
+    if (!ar.ok() || pooled > self.huge_meta_allocated_) {
+      ar.Fail();
+      return;
+    }
+    self.huge_meta_pool_.clear();
+    for (uint64_t i = 0; i < pooled; ++i) {
+      self.huge_meta_pool_.push_back(std::make_unique<HugePageMeta>());
+    }
   }
-  page_table_.assign(table, kInvalidPage);
-  for (uint64_t i = 0; i < table && r.ok(); ++i) {
-    page_table_[i] = static_cast<PageIndex>(r.U32());
-  }
+  ar.U64(self.pinned_frames_);
+  ar.U64(self.pinned_per_tier_[0]);
+  ar.U64(self.pinned_per_tier_[1]);
 
-  live_pages_ = r.U64();
-  mapped_4k_ = r.U64();
-  huge_pages_ = r.U64();
-  mapped_4k_tier_[0] = r.U64();
-  mapped_4k_tier_[1] = r.U64();
-  written_subpages_ = r.U64();
-  const uint64_t pooled = r.U64();
-  huge_meta_allocated_ = r.U64();
-  if (!r.ok() || pooled > huge_meta_allocated_) {
-    r.Fail();
+  if (!SerializeMap(ar, self.regions_, [&](auto& vpn, auto& region) {
+        ar.U64(vpn);
+        ar.U64(region.start_vpn);
+        ar.U64(region.num_pages);
+        ar.U32(region.tenant);
+      })) {
     return;
   }
-  huge_meta_pool_.clear();
-  for (uint64_t i = 0; i < pooled; ++i) {
-    huge_meta_pool_.push_back(std::make_unique<HugePageMeta>());
+  if (!SerializeMap(ar, self.free_vpn_ranges_, [&](auto& vpn, auto& len) {
+        ar.U64(vpn);
+        ar.U64(len);
+      })) {
+    return;
   }
-  pinned_frames_ = r.U64();
-  pinned_per_tier_[0] = r.U64();
-  pinned_per_tier_[1] = r.U64();
+  ar.U64(self.vpn_bump_);
+  ar.U64(self.max_free_range_bound_);
 
-  const uint64_t num_regions = r.U64();
-  if (!r.ok() || num_regions > (1ull << 32)) {
-    r.Fail();
-    return;
-  }
-  regions_.clear();
-  for (uint64_t i = 0; i < num_regions && r.ok(); ++i) {
-    const Vpn key = r.U64();
-    Region region;
-    region.start_vpn = r.U64();
-    region.num_pages = r.U64();
-    region.tenant = static_cast<TenantId>(r.U32());
-    regions_.emplace(key, region);
-  }
-  const uint64_t num_ranges = r.U64();
-  if (!r.ok() || num_ranges > (1ull << 32)) {
-    r.Fail();
-    return;
-  }
-  free_vpn_ranges_.clear();
-  for (uint64_t i = 0; i < num_ranges && r.ok(); ++i) {
-    const Vpn key = r.U64();
-    free_vpn_ranges_[key] = r.U64();
-  }
-  vpn_bump_ = r.U64();
-  max_free_range_bound_ = r.U64();
+  auto& m = self.migration_stats_;
+  ar.U64(m.promoted_base);
+  ar.U64(m.promoted_huge);
+  ar.U64(m.demoted_base);
+  ar.U64(m.demoted_huge);
+  ar.U64(m.failed_migrations);
+  ar.U64(m.aborted_migrations);
+  ar.U64(m.splits);
+  ar.U64(m.collapses);
+  ar.U64(m.freed_zero_subpages);
+  ar.U64(m.demand_faults);
+  ar.U64(m.exchanges);
+  ar.U64(m.exchanged_huge);
+  ar.U64(m.failed_exchanges);
+  ar.U64(m.aborted_exchanges);
 
-  MigrationStats& m = migration_stats_;
-  m.promoted_base = r.U64();
-  m.promoted_huge = r.U64();
-  m.demoted_base = r.U64();
-  m.demoted_huge = r.U64();
-  m.failed_migrations = r.U64();
-  m.aborted_migrations = r.U64();
-  m.splits = r.U64();
-  m.collapses = r.U64();
-  m.freed_zero_subpages = r.U64();
-  m.demand_faults = r.U64();
-  m.exchanges = r.U64();
-  m.exchanged_huge = r.U64();
-  m.failed_exchanges = r.U64();
-  m.aborted_exchanges = r.U64();
-
-  r.Section(kSectionTenants);
-  const uint64_t num_tenants = r.U64();
-  if (!r.ok() || num_tenants == 0 || num_tenants > 65536) {
-    r.Fail();
-    return;
+  ar.Section(kSectionTenants);
+  if (!ar.Count(self.tenants_, 65536)) return;
+  if constexpr (kReading) {
+    if (self.tenants_.empty()) {
+      ar.Fail();
+      return;
+    }
+    self.in_steal_ = false;
   }
-  tenants_.assign(num_tenants, TenantFrameStats{});
-  for (TenantFrameStats& t : tenants_) LoadTenant(r, t);
-  current_tenant_ = static_cast<TenantId>(r.U32());
-  in_steal_ = false;
+  for (auto& t : self.tenants_) SerializeTenant(ar, t);
+  ar.U32(self.current_tenant_);
 }
+
+template void MemorySystem::Serialize(StateWriter&, const MemorySystem&);
+template void MemorySystem::Serialize(StateReader&, MemorySystem&);
 
 }  // namespace memtis

@@ -29,9 +29,6 @@
 
 namespace memtis {
 
-class StateWriter;
-class StateReader;
-
 struct MemoryConfig {
   uint64_t fast_frames = 0;      // 4 KiB frames in the fast tier
   uint64_t capacity_frames = 0;  // 4 KiB frames in the capacity tier
@@ -438,13 +435,14 @@ class MemorySystem {
   // twin + per-slot generations, so stale PageRefs stay stale), the buddy
   // allocators' free-list order, the page table, region maps, tenant
   // ownership/quota/borrow ratchets, and the migration ledger — against a
-  // freshly constructed MemorySystem of the same MemoryConfig. LoadState
+  // freshly constructed MemorySystem of the same MemoryConfig. The load side
   // rebuilds the derived structure (hot/self back-references, pooled
   // HugePageMeta buffers) and latches the reader's error flag on any
   // configuration mismatch. Attached pointers (TLB, clock, faults) are not
-  // serialized; the owner re-attaches them.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // serialized; the owner re-attaches them. Instantiated for
+  // (StateWriter, const MemorySystem) and (StateReader, MemorySystem).
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self);
 
  private:
   struct Region {

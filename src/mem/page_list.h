@@ -29,24 +29,10 @@ class PageList {
 
   // Checkpointing: queue order is consumption order, so the deque is
   // serialized front to back.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(queue_.size());
-    for (const PageRef& ref : queue_) {
-      w.U64(ref.index);
-      w.U64(ref.generation);
-    }
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    queue_.clear();
-    const uint64_t n = r.U64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      PageRef ref;
-      ref.index = static_cast<PageIndex>(r.U64());
-      ref.generation = static_cast<uint32_t>(r.U64());
-      queue_.push_back(ref);
-    }
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    if (!ar.Count(self.queue_, 1ull << 32)) return;
+    for (auto& ref : self.queue_) PageRef::Serialize(ar, ref);
   }
 
  private:

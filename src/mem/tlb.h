@@ -89,33 +89,19 @@ class Tlb {
 
   // Checkpointing: tags + stats are the whole mutable state; the masks are
   // configuration and are cross-checked on load.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U32(base_mask_);
-    w.U32(huge_mask_);
-    for (Vpn tag : base_tags_) w.U64(tag);
-    for (Vpn tag : huge_tags_) w.U64(tag);
-    w.U64(stats_.base_hits);
-    w.U64(stats_.base_misses);
-    w.U64(stats_.huge_hits);
-    w.U64(stats_.huge_misses);
-    w.U64(stats_.shootdowns);
-    w.U64(stats_.invalidated_entries);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    if (r.U32() != base_mask_ || r.U32() != huge_mask_) {
-      r.Fail();
-      return;
-    }
-    for (Vpn& tag : base_tags_) tag = r.U64();
-    for (Vpn& tag : huge_tags_) tag = r.U64();
-    stats_.base_hits = r.U64();
-    stats_.base_misses = r.U64();
-    stats_.huge_hits = r.U64();
-    stats_.huge_misses = r.U64();
-    stats_.shootdowns = r.U64();
-    stats_.invalidated_entries = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Expect(self.base_mask_);
+    ar.Expect(self.huge_mask_);
+    for (auto& tag : self.base_tags_) ar.U64(tag);
+    for (auto& tag : self.huge_tags_) ar.U64(tag);
+    auto& stats = self.stats_;
+    ar.U64(stats.base_hits);
+    ar.U64(stats.base_misses);
+    ar.U64(stats.huge_hits);
+    ar.U64(stats.huge_misses);
+    ar.U64(stats.shootdowns);
+    ar.U64(stats.invalidated_entries);
   }
 
  private:

@@ -54,6 +54,12 @@ struct PageRef {
   uint32_t generation = 0;
 
   bool operator==(const PageRef&) const = default;
+
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.U64(self.index);
+    ar.U64(self.generation);
+  }
 };
 
 // One memory access issued by a workload. In keeping with the paper's PEBS

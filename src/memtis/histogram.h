@@ -62,13 +62,9 @@ class AccessHistogram {
   };
   Thresholds ComputeThresholds(uint64_t fast_capacity_units, double alpha) const;
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t b : bins_) w.U64(b);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& b : bins_) b = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    for (auto& b : self.bins_) ar.U64(b);
   }
 
  private:

@@ -710,119 +710,55 @@ namespace {
 constexpr uint32_t kSectionMemtis = 0x4d544953u;  // "MTIS"
 }  // namespace
 
-void MemtisPolicy::SaveState(StateWriter& w) const {
-  w.Section(kSectionMemtis);
-  sampler_.SaveState(w);
-  hist_.SaveState(w);
-  base_hist_.SaveState(w);
-  w.U64(tenant_hists_.size());
-  for (const AccessHistogram& h : tenant_hists_) {
-    h.SaveState(w);
+template <typename Archive, typename Self>
+void MemtisPolicy::Serialize(Archive& ar, Self& self) {
+  ar.Section(kSectionMemtis);
+  PebsSampler::Serialize(ar, self.sampler_);
+  AccessHistogram::Serialize(ar, self.hist_);
+  AccessHistogram::Serialize(ar, self.base_hist_);
+  if (!ar.Count(self.tenant_hists_, 65536)) return;
+  for (auto& h : self.tenant_hists_) AccessHistogram::Serialize(ar, h);
+  ar.I64(self.thresholds_.hot);
+  ar.I64(self.thresholds_.warm);
+  ar.I64(self.thresholds_.cold);
+  ar.I64(self.base_hot_bin_);
+  ar.U32(self.cool_epoch_);
+  ar.U64(self.samples_processed_);
+  ar.U64(self.samples_since_adapt_);
+  ar.U64(self.samples_since_cool_);
+  ar.U64(self.samples_since_estimate_);
+  ar.U64(self.win_samples_);
+  ar.U64(self.win_fast_hits_);
+  ar.U64(self.win_base_hot_hits_);
+  ar.F64(self.avg_samples_per_hp_);
+  ar.U32(self.consecutive_gap_windows_);
+  PageList::Serialize(ar, self.promotion_list_);
+  PageList::Serialize(ar, self.demotion_list_);
+  PageList::Serialize(ar, self.split_queue_);
+  ar.U64(self.demotion_refill_cursor_);
+  ar.U64(self.exchange_cursor_);
+  for (auto& bucket : self.skew_buckets_) {
+    if (!ar.Count(bucket, 1ull << 32)) return;
+    for (auto& ref : bucket) PageRef::Serialize(ar, ref);
   }
-  w.I64(thresholds_.hot);
-  w.I64(thresholds_.warm);
-  w.I64(thresholds_.cold);
-  w.I64(base_hot_bin_);
-  w.U32(cool_epoch_);
-  w.U64(samples_processed_);
-  w.U64(samples_since_adapt_);
-  w.U64(samples_since_cool_);
-  w.U64(samples_since_estimate_);
-  w.U64(win_samples_);
-  w.U64(win_fast_hits_);
-  w.U64(win_base_hot_hits_);
-  w.F64(avg_samples_per_hp_);
-  w.U32(consecutive_gap_windows_);
-  promotion_list_.SaveState(w);
-  demotion_list_.SaveState(w);
-  split_queue_.SaveState(w);
-  w.U64(demotion_refill_cursor_);
-  w.U64(exchange_cursor_);
-  for (const auto& bucket : skew_buckets_) {
-    w.U64(bucket.size());
-    for (const PageRef& ref : bucket) {
-      w.U64(ref.index);
-      w.U64(ref.generation);
-    }
-  }
-  w.U64(next_migrate_ns_);
-  hybrid_scanner_.SaveState(w);
-  w.U64(next_hybrid_scan_ns_);
-  ehr_stat_.SaveState(w);
-  rhr_stat_.SaveState(w);
-  w.U64(stats_.coolings);
-  w.U64(stats_.threshold_adaptations);
-  w.U64(stats_.benefit_estimations);
-  w.U64(stats_.split_rounds_triggered);
-  w.U64(stats_.splits_performed);
-  w.U64(stats_.split_subpages_to_fast);
-  w.U64(stats_.collapses_performed);
-  w.F64(stats_.last_ehr);
-  w.F64(stats_.last_rhr);
+  ar.U64(self.next_migrate_ns_);
+  PtScanner::Serialize(ar, self.hybrid_scanner_);
+  ar.U64(self.next_hybrid_scan_ns_);
+  RunningStat::Serialize(ar, self.ehr_stat_);
+  RunningStat::Serialize(ar, self.rhr_stat_);
+  auto& stats = self.stats_;
+  ar.U64(stats.coolings);
+  ar.U64(stats.threshold_adaptations);
+  ar.U64(stats.benefit_estimations);
+  ar.U64(stats.split_rounds_triggered);
+  ar.U64(stats.splits_performed);
+  ar.U64(stats.split_subpages_to_fast);
+  ar.U64(stats.collapses_performed);
+  ar.F64(stats.last_ehr);
+  ar.F64(stats.last_rhr);
 }
 
-void MemtisPolicy::LoadState(StateReader& r) {
-  r.Section(kSectionMemtis);
-  sampler_.LoadState(r);
-  hist_.LoadState(r);
-  base_hist_.LoadState(r);
-  const uint64_t num_tenant_hists = r.U64();
-  if (num_tenant_hists > 65536) {
-    r.Fail();
-    return;
-  }
-  tenant_hists_.assign(num_tenant_hists, AccessHistogram{});
-  for (AccessHistogram& h : tenant_hists_) {
-    h.LoadState(r);
-  }
-  thresholds_.hot = static_cast<int>(r.I64());
-  thresholds_.warm = static_cast<int>(r.I64());
-  thresholds_.cold = static_cast<int>(r.I64());
-  base_hot_bin_ = static_cast<int>(r.I64());
-  cool_epoch_ = r.U32();
-  samples_processed_ = r.U64();
-  samples_since_adapt_ = r.U64();
-  samples_since_cool_ = r.U64();
-  samples_since_estimate_ = r.U64();
-  win_samples_ = r.U64();
-  win_fast_hits_ = r.U64();
-  win_base_hot_hits_ = r.U64();
-  avg_samples_per_hp_ = r.F64();
-  consecutive_gap_windows_ = r.U32();
-  promotion_list_.LoadState(r);
-  demotion_list_.LoadState(r);
-  split_queue_.LoadState(r);
-  demotion_refill_cursor_ = static_cast<PageIndex>(r.U64());
-  exchange_cursor_ = static_cast<PageIndex>(r.U64());
-  for (auto& bucket : skew_buckets_) {
-    const uint64_t n = r.U64();
-    if (n > (1ull << 32)) {
-      r.Fail();
-      return;
-    }
-    bucket.clear();
-    bucket.reserve(n);
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      PageRef ref;
-      ref.index = static_cast<PageIndex>(r.U64());
-      ref.generation = static_cast<uint32_t>(r.U64());
-      bucket.push_back(ref);
-    }
-  }
-  next_migrate_ns_ = r.U64();
-  hybrid_scanner_.LoadState(r);
-  next_hybrid_scan_ns_ = r.U64();
-  ehr_stat_.LoadState(r);
-  rhr_stat_.LoadState(r);
-  stats_.coolings = r.U64();
-  stats_.threshold_adaptations = r.U64();
-  stats_.benefit_estimations = r.U64();
-  stats_.split_rounds_triggered = r.U64();
-  stats_.splits_performed = r.U64();
-  stats_.split_subpages_to_fast = r.U64();
-  stats_.collapses_performed = r.U64();
-  stats_.last_ehr = r.F64();
-  stats_.last_rhr = r.F64();
-}
+void MemtisPolicy::SaveState(StateWriter& w) const { Serialize(w, *this); }
+void MemtisPolicy::LoadState(StateReader& r) { Serialize(r, *this); }
 
 }  // namespace memtis

@@ -122,16 +122,18 @@ class MemtisPolicy : public TieringPolicy {
   }
   bool ValidateHistograms(MemorySystem& mem, std::string* error) const;
 
-  // Checkpointing: the full mutable pipeline — sampler, histograms (global,
-  // base, per-tenant), thresholds, event counters, queues, skew buckets,
-  // hybrid scanner, and run statistics. Init() must run before LoadState on
-  // the restore path (re-attaches the sampler's fault injector; LoadState
-  // then overwrites the thresholds Init reset).
-  bool SupportsCheckpoint() const override { return true; }
+  // Checkpointing: one walk over the full mutable pipeline — sampler,
+  // histograms (global, base, per-tenant), thresholds, event counters,
+  // queues, skew buckets, hybrid scanner, and run statistics. Init() must
+  // run before LoadState on the restore path (re-attaches the sampler's
+  // fault injector; the load then overwrites the thresholds Init reset).
   void SaveState(StateWriter& w) const override;
   void LoadState(StateReader& r) override;
 
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self);
+
   // Hotness of one 4 KiB unit when treated as a base page (used by the
   // emulated base-page histogram and the skewness math).
   static uint64_t UnitHotness(uint64_t count) { return count * kSubpagesPerHuge; }

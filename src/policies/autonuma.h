@@ -55,21 +55,18 @@ class AutoNumaPolicy : public TieringPolicy {
     arm_.ArmBatch(ctx);
   }
 
-  bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x414e554du);  // "ANUM"
-    arm_.SaveState(w);
-    limiter_.SaveState(w);
-    w.U64(next_scan_ns_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x414e554du);
-    arm_.LoadState(r);
-    limiter_.LoadState(r);
-    next_scan_ns_ = r.U64();
-  }
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
 
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x414e554du);  // "ANUM"
+    HintFaultArm::Serialize(ar, self.arm_);
+    MigrationRateLimiter::Serialize(ar, self.limiter_);
+    ar.U64(self.next_scan_ns_);
+  }
+
   static constexpr uint64_t kArmedBit = 1;
 
   Params params_;

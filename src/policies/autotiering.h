@@ -58,29 +58,22 @@ class AutoTieringPolicy : public TieringPolicy {
         .use_thp = use_thp};
   }
 
-  bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x4154524eu);  // "ATRN"
-    arm_.SaveState(w);
-    limiter_.SaveState(w);
-    w.U64(next_scan_ns_);
-    w.U64(scan_epoch_);
-    w.Bool(demotion_started_);
-    w.U64(demote_cursor_);
-    w.U64(exchange_cursor_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x4154524eu);
-    arm_.LoadState(r);
-    limiter_.LoadState(r);
-    next_scan_ns_ = r.U64();
-    scan_epoch_ = r.U64();
-    demotion_started_ = r.Bool();
-    demote_cursor_ = static_cast<PageIndex>(r.U64());
-    exchange_cursor_ = static_cast<PageIndex>(r.U64());
-  }
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
 
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x4154524eu);  // "ATRN"
+    HintFaultArm::Serialize(ar, self.arm_);
+    MigrationRateLimiter::Serialize(ar, self.limiter_);
+    ar.U64(self.next_scan_ns_);
+    ar.U64(self.scan_epoch_);
+    ar.Bool(self.demotion_started_);
+    ar.U64(self.demote_cursor_);
+    ar.U64(self.exchange_cursor_);
+  }
+
   static constexpr uint64_t kArmedBit = 1;
 
   // History vector layout in policy_word1: [period index (32b) | history (32b)].

@@ -87,31 +87,23 @@ class HeMemPolicy : public TieringPolicy {
   // Checkpointing. Init() (sampler fault re-attach) must run before LoadState
   // on the restore path; per-page sample counts live in the page policy words
   // serialized with the memory system.
-  bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x48454d4du);  // "HEMM"
-    sampler_.SaveState(w);
-    promote_list_.SaveState(w);
-    w.U64(hot_bytes_);
-    w.U64(over_allocated_bytes_);
-    w.U64(next_migrate_ns_);
-    w.U64(last_spin_charge_ns_);
-    w.U64(demote_cursor_);
-    w.U64(exchange_cursor_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x48454d4du);
-    sampler_.LoadState(r);
-    promote_list_.LoadState(r);
-    hot_bytes_ = r.U64();
-    over_allocated_bytes_ = r.U64();
-    next_migrate_ns_ = r.U64();
-    last_spin_charge_ns_ = r.U64();
-    demote_cursor_ = static_cast<PageIndex>(r.U64());
-    exchange_cursor_ = static_cast<PageIndex>(r.U64());
-  }
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
 
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x48454d4du);  // "HEMM"
+    PebsSampler::Serialize(ar, self.sampler_);
+    PageList::Serialize(ar, self.promote_list_);
+    ar.U64(self.hot_bytes_);
+    ar.U64(self.over_allocated_bytes_);
+    ar.U64(self.next_migrate_ns_);
+    ar.U64(self.last_spin_charge_ns_);
+    ar.U64(self.demote_cursor_);
+    ar.U64(self.exchange_cursor_);
+  }
+
   void Cool(PolicyContext& ctx);
 
   Params params_;

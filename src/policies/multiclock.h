@@ -37,7 +37,18 @@ class MultiClockPolicy : public TieringPolicy {
 
   void Tick(PolicyContext& ctx) override;
 
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
+
  private:
+  // Consecutive-scan counts live in page policy words (memory system).
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x4d434c4bu);  // "MCLK"
+    PtScanner::Serialize(ar, self.scanner_);
+    ar.U64(self.next_scan_ns_);
+  }
+
   Params params_;
   PtScanner scanner_;
   uint64_t next_scan_ns_ = 0;

@@ -44,7 +44,19 @@ class NimblePolicy : public TieringPolicy {
 
   ClassifiedSizes Classify(PolicyContext& ctx) override;
 
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
+
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x4e4d424cu);  // "NMBL"
+    PtScanner::Serialize(ar, self.scanner_);
+    ar.U64(self.next_scan_ns_);
+    ar.U64(self.last_hot_bytes_);
+    ar.U64(self.last_cold_bytes_);
+  }
+
   Params params_;
   PtScanner scanner_;
   uint64_t next_scan_ns_ = 0;

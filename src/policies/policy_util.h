@@ -142,15 +142,10 @@ class MigrationRateLimiter {
     return true;
   }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(window_start_ns_);
-    w.U64(used_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    window_start_ns_ = r.U64();
-    used_ = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.U64(self.window_start_ns_);
+    ar.U64(self.used_);
   }
 
  private:
@@ -205,13 +200,9 @@ class HintFaultArm {
 
   // Armed bits live in page policy words (serialized with the memory system);
   // only the scan cursor is policy-side state.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(cursor_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    cursor_ = static_cast<PageIndex>(r.U64());
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.U64(self.cursor_);
   }
 
  private:

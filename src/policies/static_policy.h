@@ -37,7 +37,6 @@ class StaticPolicy : public TieringPolicy {
   }
 
   // Stateless: the section marker alone keeps the snapshot layout checked.
-  bool SupportsCheckpoint() const override { return true; }
   void SaveState(StateWriter& w) const override { w.Section(0x53544154u); }
   void LoadState(StateReader& r) override { r.Section(0x53544154u); }
 

@@ -38,7 +38,23 @@ class Tiering08Policy : public TieringPolicy {
 
   void Tick(PolicyContext& ctx) override;
 
+  // Armed/referenced bits live in page policy words (memory system); the
+  // admission coin flips draw from the engine RNG (engine state).
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
+
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x54523038u);  // "TR08"
+    HintFaultArm::Serialize(ar, self.arm_);
+    ar.U64(self.next_scan_ns_);
+    ar.U64(self.window_start_ns_);
+    ar.U64(self.window_promoted_);
+    ar.F64(self.admit_ratio_);
+    ar.U64(self.demote_cursor_);
+  }
+
   static constexpr uint64_t kArmedBit = 1;
   static constexpr uint64_t kReferencedBit = 2;
 

@@ -46,7 +46,21 @@ class TppPolicy : public TieringPolicy {
 
   ClassifiedSizes Classify(PolicyContext& ctx) override;
 
+  // Armed/referenced bits and fault histories live in page policy words
+  // (memory system).
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
+
  private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x54505020u);  // "TPP "
+    HintFaultArm::Serialize(ar, self.arm_);
+    MigrationRateLimiter::Serialize(ar, self.limiter_);
+    ar.U64(self.next_scan_ns_);
+    ar.U64(self.demote_cursor_);
+  }
+
   static constexpr uint64_t kArmedBit = 1;
   static constexpr uint64_t kReferencedBit = 2;
 

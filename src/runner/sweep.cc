@@ -47,7 +47,43 @@ int BenchSeeds() {
   return kSeeds;
 }
 
-JobResult RunJob(const JobSpec& spec) {
+namespace {
+
+// The spec's policy: the registry's, or a MEMTIS variant rebuilt through the
+// spec's memtis_tweak hook.
+std::unique_ptr<TieringPolicy> MakeJobPolicy(const JobSpec& spec, uint64_t footprint,
+                                             uint64_t fast) {
+  if (spec.memtis_tweak != nullptr && spec.system.rfind("memtis", 0) == 0) {
+    MemtisConfig cfg = MemtisConfig::ScaledDefaults(footprint, fast);
+    if (spec.system == "memtis-ns") {
+      cfg.enable_split = false;
+      cfg.enable_collapse = false;
+    }
+    return std::make_unique<MemtisPolicy>(spec.memtis_tweak(cfg));
+  }
+  return MakePolicy(spec.system, footprint, fast);
+}
+
+// Auditing: the spec's request wins (collect mode); otherwise the
+// MEMTIS_AUDIT env hook may install an abort-on-violation session. One
+// session per engine — RunJob stays thread-safe.
+std::unique_ptr<AuditSession> MakeJobAuditSession(const JobSpec& spec) {
+  if (!spec.audit) {
+    return MakeEnvAuditSession();
+  }
+  AuditSessionOptions audit_opts;
+  audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
+  audit_opts.epochs.interval_ns = spec.audit_epoch_interval_ns != 0
+                                      ? spec.audit_epoch_interval_ns
+                                      : audit_opts.epochs.interval_ns;
+  return std::make_unique<AuditSession>(audit_opts);
+}
+
+}  // namespace
+
+JobResult RunJob(const JobSpec& spec) { return *RunCell(spec, nullptr); }
+
+std::optional<JobResult> RunCell(const JobSpec& spec, const CellPrepare& prepare) {
   const double footprint_scale =
       spec.footprint_scale > 0.0 ? spec.footprint_scale : BenchFootprintScale();
   auto workload =
@@ -58,19 +94,7 @@ JobResult RunJob(const JobSpec& spec) {
           ? spec.fast_bytes_override
           : static_cast<uint64_t>(static_cast<double>(footprint) * spec.fast_ratio);
   const uint64_t capacity = footprint + footprint / 2;
-
-  std::unique_ptr<TieringPolicy> policy;
-  if (spec.memtis_tweak != nullptr &&
-      spec.system.rfind("memtis", 0) == 0) {
-    MemtisConfig cfg = MemtisConfig::ScaledDefaults(footprint, fast);
-    if (spec.system == "memtis-ns") {
-      cfg.enable_split = false;
-      cfg.enable_collapse = false;
-    }
-    policy = std::make_unique<MemtisPolicy>(spec.memtis_tweak(cfg));
-  } else {
-    policy = MakePolicy(spec.system, footprint, fast);
-  }
+  std::unique_ptr<TieringPolicy> policy = MakeJobPolicy(spec, footprint, fast);
 
   const MachineConfig machine =
       spec.cxl ? MakeCxlMachine(fast, capacity) : MakeNvmMachine(fast, capacity);
@@ -91,21 +115,14 @@ JobResult RunJob(const JobSpec& spec) {
     // benchmark is not range-shardable), merged deterministically. Policies
     // are built per shard, sized for the shard's machine slice; per-policy
     // introspection (MEMTIS/HeMem stats) is per-shard state and stays out of
-    // the merged result.
+    // the merged result. Sharded cells take no `prepare` hook.
+    SIM_CHECK(prepare == nullptr);
     const uint32_t n = spec.shards;
     const MachineConfig slice = ShardedEngine::SliceMachine(machine, n);
     const uint64_t fast_slice = slice.mem.fast_frames * kPageSize;
     const uint64_t footprint_slice = footprint / n;
-    PolicyFactory factory = [&]() -> std::unique_ptr<TieringPolicy> {
-      if (spec.memtis_tweak != nullptr && spec.system.rfind("memtis", 0) == 0) {
-        MemtisConfig cfg = MemtisConfig::ScaledDefaults(footprint_slice, fast_slice);
-        if (spec.system == "memtis-ns") {
-          cfg.enable_split = false;
-          cfg.enable_collapse = false;
-        }
-        return std::make_unique<MemtisPolicy>(spec.memtis_tweak(cfg));
-      }
-      return MakePolicy(spec.system, footprint_slice, fast_slice);
+    PolicyFactory factory = [&] {
+      return MakeJobPolicy(spec, footprint_slice, fast_slice);
     };
     std::vector<std::unique_ptr<AuditSession>> shard_audit(n);
     ShardedOptions sopts;
@@ -113,17 +130,8 @@ JobResult RunJob(const JobSpec& spec) {
     sopts.threads = 1;  // RunJobs already parallelizes across cells
     sopts.engine = opts;
     sopts.audit_for_shard = [&](uint32_t i) -> EngineObserver* {
-      if (spec.audit) {
-        AuditSessionOptions audit_opts;
-        audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
-        audit_opts.epochs.interval_ns =
-            spec.audit_epoch_interval_ns != 0 ? spec.audit_epoch_interval_ns
-                                              : audit_opts.epochs.interval_ns;
-        shard_audit[i] = std::make_unique<AuditSession>(audit_opts);
-      } else {
-        shard_audit[i] = MakeEnvAuditSession();
-      }
-      return shard_audit[i] != nullptr ? shard_audit[i].get() : nullptr;
+      shard_audit[i] = MakeJobAuditSession(spec);
+      return shard_audit[i].get();
     };
     ShardedEngine sharded(machine, factory, sopts);
     JobResult out;
@@ -156,22 +164,12 @@ JobResult RunJob(const JobSpec& spec) {
     return out;
   }
 
-  // Auditing: the spec's request wins (collect mode); otherwise the
-  // MEMTIS_AUDIT env hook may install an abort-on-violation session. One
-  // session per job — RunJob stays thread-safe.
-  std::unique_ptr<AuditSession> audit;
-  if (spec.audit) {
-    AuditSessionOptions audit_opts;
-    audit_opts.record_epochs = spec.audit_epoch_interval_ns != 0;
-    audit_opts.epochs.interval_ns =
-        spec.audit_epoch_interval_ns != 0 ? spec.audit_epoch_interval_ns
-                                          : audit_opts.epochs.interval_ns;
-    audit = std::make_unique<AuditSession>(audit_opts);
-  } else {
-    audit = MakeEnvAuditSession();
-  }
+  const std::unique_ptr<AuditSession> audit = MakeJobAuditSession(spec);
   opts.audit = audit.get();
   Engine engine(machine, *policy, opts);
+  if (prepare && !prepare(engine, *policy, *workload, audit.get())) {
+    return std::nullopt;
+  }
 
   JobResult out;
   out.metrics = engine.Run(*workload);

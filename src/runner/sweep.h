@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,9 @@
 #include "src/sim/metrics.h"
 
 namespace memtis {
+
+class AuditSession;
+class Workload;
 
 // Environment scale knobs shared by every sweep (see the README's "Running
 // sweeps" section): MEMTIS_BENCH_SCALE multiplies access budgets,
@@ -130,6 +134,14 @@ struct JobResult {
 // Runs one cell to completion. Thread-safe: builds its own workload, policy,
 // and engine, touching no shared mutable state.
 JobResult RunJob(const JobSpec& spec);
+
+// RunJob with a hook for unsharded cells: `prepare`, when set, sees the
+// freshly built components before Engine::Run (the checkpoint runner
+// restores a snapshot and arms checkpoints there); returning false abandons
+// the cell unrun, and RunCell returns nullopt.
+using CellPrepare = std::function<bool(Engine& engine, TieringPolicy& policy,
+                                       Workload& workload, AuditSession* audit)>;
+std::optional<JobResult> RunCell(const JobSpec& spec, const CellPrepare& prepare);
 
 // The matching all-capacity (all-NVM/all-CXL + THP) baseline of `spec`.
 JobSpec BaselineSpec(JobSpec spec);

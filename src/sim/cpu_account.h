@@ -41,15 +41,6 @@ class CpuAccount {
                                  static_cast<double>(elapsed_ns);
   }
 
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    for (uint64_t b : busy_) w.U64(b);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    for (uint64_t& b : busy_) b = r.U64();
-  }
-
  private:
   std::array<uint64_t, static_cast<int>(DaemonKind::kCount)> busy_{};
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/common/json_parse.h"
+#include "src/snapshot/json_field.h"
 #include "src/snapshot/serializer.h"
 #include "src/trace/trace.h"
 
@@ -294,55 +294,32 @@ namespace {
 constexpr uint32_t kSectionEngine = 0x454e4753;  // "ENGS"
 }  // namespace
 
-void Engine::SaveState(StateWriter& w) const {
-  w.Section(kSectionEngine);
-  w.Bool(started_);
-  w.U64(now_ns_);
-  w.U64(next_tick_ns_);
-  w.U64(next_snapshot_ns_);
-  w.U64(fault_shrunk_frames_);
-  w.U64(window_accesses_);
-  w.U64(window_fast_);
-  w.U64(window_start_ns_);
-  w.U64(ctx_.pending_app_ns);
-  rng_.SaveState(w);
-  migration_budget_.SaveState(w);
-  fault_injector_.SaveState(w);
-  tlb_.SaveState(w);
-  w.Str(metrics_.ToJson());
-  mem_.SaveState(w);
+template <typename Archive, typename Self>
+void Engine::Serialize(Archive& ar, Self& self) {
+  ar.Section(kSectionEngine);
+  ar.Bool(self.started_);
+  ar.U64(self.now_ns_);
+  ar.U64(self.next_tick_ns_);
+  ar.U64(self.next_snapshot_ns_);
+  ar.U64(self.fault_shrunk_frames_);
+  ar.U64(self.window_accesses_);
+  ar.U64(self.window_fast_);
+  ar.U64(self.window_start_ns_);
+  ar.U64(self.ctx_.pending_app_ns);
+  Rng::Serialize(ar, self.rng_);
+  MigrationBudget::Serialize(ar, self.migration_budget_);
+  FaultInjector::Serialize(ar, self.fault_injector_);
+  Tlb::Serialize(ar, self.tlb_);
+  SerializeJson(ar, self.metrics_);
+  MemorySystem::Serialize(ar, self.mem_);
+  if constexpr (Archive::kReading) {
+    self.ctx_.now_ns = self.now_ns_;
+    self.UpdateNextEvent();
+  }
 }
 
-void Engine::LoadState(StateReader& r) {
-  r.Section(kSectionEngine);
-  started_ = r.Bool();
-  now_ns_ = r.U64();
-  next_tick_ns_ = r.U64();
-  next_snapshot_ns_ = r.U64();
-  fault_shrunk_frames_ = r.U64();
-  window_accesses_ = r.U64();
-  window_fast_ = r.U64();
-  window_start_ns_ = r.U64();
-  ctx_.pending_app_ns = r.U64();
-  rng_.LoadState(r);
-  migration_budget_.LoadState(r);
-  fault_injector_.LoadState(r);
-  tlb_.LoadState(r);
-  const std::string metrics_json = r.Str();
-  if (r.ok()) {
-    JsonValue v;
-    Metrics restored;
-    if (!JsonValue::Parse(metrics_json, &v, nullptr) ||
-        !Metrics::FromJson(v, &restored)) {
-      r.Fail();
-      return;
-    }
-    metrics_ = std::move(restored);
-  }
-  mem_.LoadState(r);
-  ctx_.now_ns = now_ns_;
-  UpdateNextEvent();
-}
+template void Engine::Serialize(StateWriter&, const Engine&);
+template void Engine::Serialize(StateReader&, Engine&);
 
 void Engine::MaybeShrinkFastTier() {
   if (fault_shrunk_frames_ >= fault_shrink_cap_frames_) {

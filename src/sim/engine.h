@@ -113,18 +113,19 @@ class Engine {
   // Step() boundary at or past each multiple of `interval_ns` of virtual
   // time (skip-ahead like the tick schedule, so a long stall produces one
   // checkpoint, not a burst). The hook must not touch simulation state:
-  // checkpointing on vs off stays byte-identical. Call it again after
-  // LoadState to re-derive the next deadline from the restored clock.
+  // checkpointing on vs off stays byte-identical. Call it again after a
+  // restore to re-derive the next deadline from the restored clock.
   void EnableCheckpoints(uint64_t interval_ns, std::function<void()> fn);
 
-  // Serializes / restores the engine-owned mutable state: clocks, RNG
-  // stream, metrics (lossless JSON codec), migration budget, fault-injector
-  // cursors, TLB ledger, and the full MemorySystem. Policy and workload
-  // state are serialized by the caller via their own hooks. LoadState
-  // assumes `this` was freshly constructed from the same MachineConfig,
-  // EngineOptions, and policy; mismatches latch the reader's error flag.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // One walk over the engine-owned mutable state: clocks, RNG stream,
+  // metrics (lossless JSON codec), migration budget, fault-injector cursors,
+  // TLB ledger, and the full MemorySystem. Policy and workload state are
+  // serialized by the caller via their own hooks. Loading assumes `self` was
+  // freshly constructed from the same MachineConfig, EngineOptions, and
+  // policy; mismatches latch the reader's error flag. Instantiated for
+  // (StateWriter, const Engine) and (StateReader, Engine).
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self);
 
  private:
   void DoAccessImpl(Vaddr addr, bool is_write);

@@ -71,25 +71,14 @@ class MigrationBudget {
 
   // Checkpointing: rate/burst are configuration (cross-checked on load); the
   // bucket balance, refill clock, and audit ledger restore verbatim.
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(rate_per_ms_);
-    w.U64(burst_);
-    w.U64(tokens_);
-    w.U64(last_refill_ns_);
-    w.U64(consumed_pages_);
-    w.U64(credited_pages_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    if (r.U64() != rate_per_ms_ || r.U64() != burst_) {
-      r.Fail();
-      return;
-    }
-    tokens_ = r.U64();
-    last_refill_ns_ = r.U64();
-    consumed_pages_ = r.U64();
-    credited_pages_ = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Expect(self.rate_per_ms_);
+    ar.Expect(self.burst_);
+    ar.U64(self.tokens_);
+    ar.U64(self.last_refill_ns_);
+    ar.U64(self.consumed_pages_);
+    ar.U64(self.credited_pages_);
   }
 
  private:

@@ -20,6 +20,7 @@
 #include "src/sim/cpu_account.h"
 #include "src/sim/metrics.h"
 #include "src/sim/migration_budget.h"
+#include "src/snapshot/serializer.h"
 
 namespace memtis {
 
@@ -119,14 +120,16 @@ class TieringPolicy {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Policies opt in by overriding all three hooks. SaveState serializes every
-  // mutable field; LoadState restores them into a freshly constructed policy
-  // with the same parameters after Init() ran (Init must be attach-only /
-  // idempotent for checkpointable policies). Restore failures latch the
-  // reader's error flag. A policy that leaves SupportsCheckpoint at the
-  // default refuses checkpointed runs with a structured error up front —
-  // never a snapshot that could restore unfaithfully.
-  virtual bool SupportsCheckpoint() const { return false; }
+  // A policy with mutable state lists it once, in a static Serialize walk
+  // (src/snapshot/serializer.h), and forwards both hooks to it in one line.
+  // The load runs on a freshly constructed policy with the same parameters
+  // after Init() ran (Init must be attach-only / idempotent); restore
+  // failures latch the reader's error flag. Page policy words travel with
+  // the MemorySystem and the engine RNG with the Engine. Every registered
+  // policy checkpoints, so SupportsCheckpoint defaults to true; the
+  // all-policies differentials in tests/snapshot_test.cc catch a walk that
+  // misses a field.
+  virtual bool SupportsCheckpoint() const { return true; }
   virtual void SaveState(StateWriter& w) const { (void)w; }
   virtual void LoadState(StateReader& r) { (void)r; }
 };

@@ -14,12 +14,11 @@
 
 #include "src/common/rng.h"
 #include "src/mem/types.h"
+#include "src/snapshot/serializer.h"
 
 namespace memtis {
 
 class Engine;
-class StateWriter;
-class StateReader;
 
 // Facade handed to workloads; forwards to the engine.
 class App {
@@ -84,13 +83,14 @@ class Workload {
 
   // --- Checkpointing (src/snapshot/) ------------------------------------------
   //
-  // Opt-in like TieringPolicy's hooks. SaveState captures the workload's
-  // cursors and the base addresses of its regions; LoadState restores them
-  // into a freshly constructed workload of the same (name, scale, seed) —
+  // Opt-in, unlike TieringPolicy: a checkpointable workload lists its
+  // cursors and region base addresses once, in a static Serialize walk
+  // (src/snapshot/serializer.h), and forwards both hooks to it. The load runs
+  // on a freshly constructed workload of the same (name, scale, seed) —
   // Setup() is NOT called on the restore path (the restored MemorySystem
-  // already holds the regions), so LoadState must rebuild any derived
-  // structures (indices, samplers) from the saved bases itself. Restore
-  // failures latch the reader's error flag.
+  // already holds the regions), so the walk rebuilds derived structures
+  // (indices, samplers) from the restored bases. Restore failures latch the
+  // reader's error flag.
   virtual bool SupportsCheckpoint() const { return false; }
   virtual void SaveState(StateWriter& w) const { (void)w; }
   virtual void LoadState(StateReader& r) { (void)r; }

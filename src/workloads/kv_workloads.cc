@@ -1,7 +1,5 @@
 #include "src/workloads/kv_workloads.h"
 
-#include "src/snapshot/serializer.h"
-
 namespace memtis {
 namespace {
 constexpr uint64_t kBatch = 256;
@@ -12,12 +10,16 @@ constexpr uint64_t kBatch = 256;
 void SiloWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
   base_ = app.Alloc(params_.footprint_bytes);
+  BuildStore();
+  populate_total_ = params_.footprint_bytes >> kPageShift;
+}
+
+void SiloWorkload::BuildStore() {
   const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
   store_ = std::make_unique<SparseHugeRegion>(
       base_, blocks, params_.zipf_s, params_.hot_per_block,
       /*written_per_block=*/static_cast<uint32_t>(kSubpagesPerHuge),
       params_.stray_prob, params_.seed);
-  populate_total_ = params_.footprint_bytes >> kPageShift;
 }
 
 bool SiloWorkload::Step(App& app, Rng& rng) {
@@ -35,35 +37,17 @@ bool SiloWorkload::Step(App& app, Rng& rng) {
   return true;
 }
 
-void SiloWorkload::SaveState(StateWriter& w) const {
-  w.Section(0x53494c4fu);  // "SILO"
-  w.U64(base_);
-  w.U64(populate_cursor_);
-  w.U64(populate_total_);
-}
-
-void SiloWorkload::LoadState(StateReader& r) {
-  r.Section(0x53494c4fu);
-  base_ = r.U64();
-  populate_cursor_ = r.U64();
-  populate_total_ = r.U64();
-  // The store layout is deterministic from params + base; Setup() is not
-  // re-run on restore (the allocation already lives in the restored memory
-  // system).
-  const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-  store_ = std::make_unique<SparseHugeRegion>(
-      base_, blocks, params_.zipf_s, params_.hot_per_block,
-      /*written_per_block=*/static_cast<uint32_t>(kSubpagesPerHuge),
-      params_.stray_prob, params_.seed);
-}
-
 // --- Btree --------------------------------------------------------------------
 
 void BtreeWorkload::Setup(App& app, Rng& rng) {
   (void)rng;
-  const Vaddr base = app.Alloc(params_.footprint_bytes);
+  base_ = app.Alloc(params_.footprint_bytes);
+  BuildIndex();
+}
+
+void BtreeWorkload::BuildIndex() {
   const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-  index_ = std::make_unique<SparseHugeRegion>(base, blocks, params_.zipf_s,
+  index_ = std::make_unique<SparseHugeRegion>(base_, blocks, params_.zipf_s,
                                               params_.hot_per_block,
                                               params_.written_per_block,
                                               params_.stray_prob, params_.seed);
@@ -81,23 +65,6 @@ bool BtreeWorkload::Step(App& app, Rng& rng) {
     app.Read(index_->SampleAddr(rng));
   }
   return true;
-}
-
-void BtreeWorkload::SaveState(StateWriter& w) const {
-  w.Section(0x42545245u);  // "BTRE"
-  w.U64(index_->start());
-  w.U64(populate_cursor_);
-}
-
-void BtreeWorkload::LoadState(StateReader& r) {
-  r.Section(0x42545245u);
-  const Vaddr base = r.U64();
-  populate_cursor_ = r.U64();
-  const uint64_t blocks = params_.footprint_bytes / kHugePageSize;
-  index_ = std::make_unique<SparseHugeRegion>(base, blocks, params_.zipf_s,
-                                              params_.hot_per_block,
-                                              params_.written_per_block,
-                                              params_.stray_prob, params_.seed);
 }
 
 }  // namespace memtis

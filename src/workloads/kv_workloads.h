@@ -34,11 +34,25 @@ class SiloWorkload : public Workload {
   void Setup(App& app, Rng& rng) override;
   bool Step(App& app, Rng& rng) override;
 
+  // Checkpointing: the store layout is deterministic from params + base, so
+  // the load rebuilds it in place of Setup().
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
 
  private:
+  void BuildStore();  // store_ from params_ + base_ (Setup and restore)
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x53494c4fu);  // "SILO"
+    ar.U64(self.base_);
+    ar.U64(self.populate_cursor_);
+    ar.U64(self.populate_total_);
+    if constexpr (Archive::kReading) {
+      self.BuildStore();
+    }
+  }
+
   Params params_;
   std::unique_ptr<SparseHugeRegion> store_;
   uint64_t populate_cursor_ = 0;  // population writes issued so far
@@ -66,11 +80,23 @@ class BtreeWorkload : public Workload {
   bool Step(App& app, Rng& rng) override;
 
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
 
  private:
+  void BuildIndex();  // index_ from params_ + base_ (Setup and restore)
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x42545245u);  // "BTRE"
+    ar.U64(self.base_);
+    ar.U64(self.populate_cursor_);
+    if constexpr (Archive::kReading) {
+      self.BuildIndex();
+    }
+  }
+
   Params params_;
+  Vaddr base_ = 0;
   std::unique_ptr<SparseHugeRegion> index_;
   uint64_t populate_cursor_ = 0;
 };

@@ -48,17 +48,9 @@ class StreamWorkload : public Workload {
 
   void Setup(App& app, Rng& rng) override {
     (void)rng;
-    uint64_t hot_bytes = static_cast<uint64_t>(
-        static_cast<double>(params_.footprint_bytes) * params_.hot_fraction);
-    hot_bytes = std::max<uint64_t>(hot_bytes, kHugePageSize);
-    const uint64_t sweep_bytes = params_.footprint_bytes - hot_bytes;
-    sweep_base_ = app.Alloc(sweep_bytes);
-    const Vaddr hot_base = app.Alloc(hot_bytes);
-    sweep_ = std::make_unique<SequentialScanner>(
-        sweep_base_, sweep_bytes >> kPageShift, params_.stride_bytes);
-    hot_ = std::make_unique<SkewedRegion>(hot_base, hot_bytes >> kPageShift,
-                                          /*zipf_s=*/1.1, params_.seed,
-                                          /*chunk_pages=*/kSubpagesPerHuge);
+    sweep_base_ = app.Alloc(params_.footprint_bytes - HotBytes());
+    hot_base_ = app.Alloc(HotBytes());
+    BuildRegions();
   }
 
   std::unique_ptr<Workload> ShardSlice(uint32_t shard,
@@ -110,34 +102,44 @@ class StreamWorkload : public Workload {
   }
 
   // Checkpointing: region geometry is deterministic from params, so only the
-  // two base addresses and the sweep cursor are serialized; LoadState rebuilds
+  // two base addresses and the sweep cursor are serialized; the load rebuilds
   // the scanner and hot region in place of Setup().
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x5354524du);  // "STRM"
-    w.U64(sweep_base_);
-    w.U64(hot_->start());
-    sweep_->SaveState(w);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x5354524du);
-    sweep_base_ = r.U64();
-    const Vaddr hot_base = r.U64();
-    uint64_t hot_bytes = static_cast<uint64_t>(
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
+
+ private:
+  // The hot index region (at least one huge page); the sweep gets the rest.
+  uint64_t HotBytes() const {
+    const uint64_t hot_bytes = static_cast<uint64_t>(
         static_cast<double>(params_.footprint_bytes) * params_.hot_fraction);
-    hot_bytes = std::max<uint64_t>(hot_bytes, kHugePageSize);
-    const uint64_t sweep_bytes = params_.footprint_bytes - hot_bytes;
+    return std::max<uint64_t>(hot_bytes, kHugePageSize);
+  }
+
+  void BuildRegions() {
+    const uint64_t hot_bytes = HotBytes();
     sweep_ = std::make_unique<SequentialScanner>(
-        sweep_base_, sweep_bytes >> kPageShift, params_.stride_bytes);
-    sweep_->LoadState(r);
-    hot_ = std::make_unique<SkewedRegion>(hot_base, hot_bytes >> kPageShift,
+        sweep_base_, (params_.footprint_bytes - hot_bytes) >> kPageShift,
+        params_.stride_bytes);
+    hot_ = std::make_unique<SkewedRegion>(hot_base_, hot_bytes >> kPageShift,
                                           /*zipf_s=*/1.1, params_.seed,
                                           /*chunk_pages=*/kSubpagesPerHuge);
   }
 
- private:
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x5354524du);  // "STRM"
+    ar.U64(self.sweep_base_);
+    ar.U64(self.hot_base_);
+    if constexpr (Archive::kReading) {
+      self.BuildRegions();
+    }
+    SequentialScanner::Serialize(ar, *self.sweep_);
+  }
+
   Params params_;
   Vaddr sweep_base_ = 0;
+  Vaddr hot_base_ = 0;
   std::unique_ptr<SequentialScanner> sweep_;
   std::unique_ptr<SkewedRegion> hot_;
 };

@@ -32,11 +32,8 @@ class SyntheticWorkload : public Workload {
   void Setup(App& app, Rng& rng) override {
     (void)rng;
     base_ = app.Alloc(params_.footprint_bytes);
-    const uint64_t pages = params_.footprint_bytes >> kPageShift;
-    region_ = std::make_unique<SkewedRegion>(base_, pages,
-                                             params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s,
-                                             params_.seed, params_.chunk_pages);
-    populate_left_ = params_.populate_first ? pages : 0;
+    BuildRegion();
+    populate_left_ = params_.populate_first ? params_.footprint_bytes >> kPageShift : 0;
   }
 
   bool Step(App& app, Rng& rng) override {
@@ -59,25 +56,30 @@ class SyntheticWorkload : public Workload {
   const SkewedRegion& region() const { return *region_; }
   Vaddr base() const { return base_; }
 
-  // Checkpointing: Setup() is not re-run on restore — LoadState rebuilds the
+  // Checkpointing: Setup() is not re-run on restore — the load rebuilds the
   // region (deterministic from params + base address) and the populate cursor.
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(StateWriter& w) const override {
-    w.Section(0x53594e54u);  // "SYNT"
-    w.U64(base_);
-    w.U64(populate_left_);
-  }
-  void LoadState(StateReader& r) override {
-    r.Section(0x53594e54u);
-    base_ = r.U64();
-    populate_left_ = r.U64();
-    const uint64_t pages = params_.footprint_bytes >> kPageShift;
-    region_ = std::make_unique<SkewedRegion>(
-        base_, pages, params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s,
-        params_.seed, params_.chunk_pages);
-  }
+  void SaveState(StateWriter& w) const override { Serialize(w, *this); }
+  void LoadState(StateReader& r) override { Serialize(r, *this); }
 
  private:
+  void BuildRegion() {
+    region_ = std::make_unique<SkewedRegion>(
+        base_, params_.footprint_bytes >> kPageShift,
+        params_.zipf_s <= 0.0 ? 0.01 : params_.zipf_s, params_.seed,
+        params_.chunk_pages);
+  }
+
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.Section(0x53594e54u);  // "SYNT"
+    ar.U64(self.base_);
+    ar.U64(self.populate_left_);
+    if constexpr (Archive::kReading) {
+      self.BuildRegion();
+    }
+  }
+
   Params params_;
   Vaddr base_ = 0;
   std::unique_ptr<SkewedRegion> region_;

@@ -110,13 +110,9 @@ class SequentialScanner {
 
   // Checkpointing: only the cursor is mutable state (the region geometry is
   // reconstructed from the owning workload's params).
-  template <typename Writer>
-  void SaveState(Writer& w) const {
-    w.U64(cursor_);
-  }
-  template <typename Reader>
-  void LoadState(Reader& r) {
-    cursor_ = r.U64();
+  template <typename Archive, typename Self>
+  static void Serialize(Archive& ar, Self& self) {
+    ar.U64(self.cursor_);
   }
 
  private:
