@@ -28,6 +28,7 @@ class LeaseRenewer {
  public:
   LeaseRenewer(WorkQueue& queue, const WorkItem& item, uint64_t interval_ms)
       : thread_([&queue, item, interval_ms, this] {
+          started_.store(true);
           uint64_t since_renew = 0;
           while (!stop_.load(std::memory_order_relaxed)) {
             SleepMs(50);
@@ -37,7 +38,14 @@ class LeaseRenewer {
               queue.Renew(item);
             }
           }
-        }) {}
+        }) {
+    // The caller forks the cell's child next. Fork only once this thread is
+    // past its start-up: a sanitizer runtime allocates there, and a fork in
+    // that window leaves the child blocked on an allocator lock.
+    while (!started_.load()) {
+      std::this_thread::yield();
+    }
+  }
 
   ~LeaseRenewer() {
     stop_.store(true, std::memory_order_relaxed);
@@ -46,6 +54,7 @@ class LeaseRenewer {
 
  private:
   std::atomic<bool> stop_{false};
+  std::atomic<bool> started_{false};
   std::thread thread_;
 };
 
