@@ -19,6 +19,9 @@
 //   exchange_churn        one ExchangePages swap with the fast tier full
 //   migrate_evict_churn   the demote-then-promote pair the swap replaces
 //   sweep_wallclock       a small multi-job runner sweep through the pool
+//   large_footprint_btree one MEMTIS btree cell at footprint scale 256
+//                         (40 GiB simulated), end to end, ns/access: daemon
+//                         scans that grow with the page count dominate here
 //
 // Usage: hotpath_bench [--smoke] [--benchmarks=a,b] [--repeat=N] [--out=FILE]
 //                      [--force]
@@ -314,6 +317,20 @@ PerfResult BenchSweepWallclock(bool smoke) {
   return PerfResult{"sweep_wallclock", "job", run.jobs.size(), t1 - t0};
 }
 
+PerfResult BenchLargeFootprintBtree(bool smoke) {
+  JobSpec spec;
+  spec.system = "memtis";
+  spec.benchmark = "btree";
+  spec.footprint_scale = smoke ? 1.0 : 256.0;
+  spec.accesses = smoke ? 20'000 : 3'000'000;
+  const uint64_t t0 = MonotonicNowNs();
+  const JobResult result = RunJob(spec);
+  const uint64_t t1 = MonotonicNowNs();
+  Blackhole(result.metrics.accesses);
+  return PerfResult{"large_footprint_btree", "access", result.metrics.accesses,
+                    t1 - t0};
+}
+
 struct Registered {
   const char* name;
   PerfResult (*fn)(bool smoke);
@@ -333,6 +350,7 @@ constexpr Registered kBenchmarks[] = {
     {"exchange_churn", BenchExchangeChurn},
     {"migrate_evict_churn", BenchMigrateEvictChurn},
     {"sweep_wallclock", BenchSweepWallclock},
+    {"large_footprint_btree", BenchLargeFootprintBtree},
 };
 
 bool WantBenchmark(const std::string& filter, const char* name) {

@@ -1,5 +1,6 @@
 #include "src/audit/audit.h"
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -228,6 +229,38 @@ void CheckIncrementalCounters(const MemorySystem& mem, AuditCollector& out) {
                  std::to_string(mem.huge_meta_allocated()) + " allocated != " +
                  std::to_string(mem.huge_meta_pooled()) + " pooled + " +
                  std::to_string(mem.live_huge_pages()) + " live huge pages");
+  }
+  CheckTierSets(mem, out);
+}
+
+void CheckTierSets(const MemorySystem& mem, AuditCollector& out) {
+  const PageIndex slots = mem.page_slots();
+  for (int t = 0; t < kNumTiers; ++t) {
+    const TierId id = static_cast<TierId>(t);
+    const std::vector<uint64_t>& set = mem.tier_set(id);
+    if (set.size() != (static_cast<size_t>(slots) + 63) / 64) {
+      out.Fail("tier-sets", std::string(TierName(id)) + " tier set holds " +
+                                std::to_string(set.size()) + " words for " +
+                                std::to_string(slots) + " page slots");
+      continue;
+    }
+    for (size_t w = 0; w < set.size(); ++w) {
+      uint64_t expected = 0;
+      for (uint32_t b = 0; b < 64 && w * 64 + b < slots; ++b) {
+        const PageIndex i = static_cast<PageIndex>(w * 64 + b);
+        if (mem.page(i).live && mem.tier_of(i) == id) {
+          expected |= uint64_t{1} << b;
+        }
+      }
+      if (set[w] != expected) {
+        const uint64_t slot = w * 64 + std::countr_zero(set[w] ^ expected);
+        out.Fail("tier-sets", std::string(TierName(id)) +
+                                  " tier set disagrees with the recount at slot " +
+                                  std::to_string(slot) +
+                                  (slot >= slots ? " (past page_slots())" : ""));
+        break;
+      }
+    }
   }
 }
 

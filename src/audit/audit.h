@@ -122,7 +122,14 @@ void CheckHugePageAccounting(MemorySystem& mem, AuditCollector& out);
 // live page metadata, and the HugePageMeta pool conserves its buffers
 // (allocated == pooled + live huge pages). These counters replaced the old
 // full-scan metrics, so this check is what keeps the fast path honest.
+// It also runs CheckTierSets, so a registered auditor evaluates the tier sets
+// without adding a check to its checks_run ledger.
 void CheckIncrementalCounters(const MemorySystem& mem, AuditCollector& out);
+
+// Tier sets ("tier-sets"): each tier's slot bitmap equals a recount of the
+// live slots in that tier, and no bit is set at or beyond page_slots().
+// Reports into `out` without counting a check of its own.
+void CheckTierSets(const MemorySystem& mem, AuditCollector& out);
 
 // TLB coherence: every valid TLB entry translates a currently mapped vpn of
 // the matching page kind (migrations, splits, collapses, and unmaps must have

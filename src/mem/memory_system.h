@@ -14,6 +14,7 @@
 #define MEMTIS_SIM_SRC_MEM_MEMORY_SYSTEM_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -47,6 +48,10 @@ struct AllocOptions {
   bool allow_other_tier = true;  // fall back to the other tier when full
   bool use_thp = true;           // huge pages for 2 MiB-aligned spans
 };
+
+// Page-slot sets a MemorySystem::ScanSlots walk can visit: the live slots of
+// one tier, or every live slot.
+enum class SlotSet : uint8_t { kFast, kCapacity, kLive };
 
 struct MigrationStats {
   uint64_t promoted_base = 0;   // base pages moved capacity -> fast
@@ -343,10 +348,75 @@ class MemorySystem {
     }
   }
 
-  // Slot-based access for resumable scan cursors (hint-fault arming, clock
-  // hands). Slots may be dead; LivePageAt returns nullptr for those.
+  // Page slots, live or dead: every PageIndex lies in [0, page_slots()).
   PageIndex page_slots() const { return static_cast<PageIndex>(pages_.size()); }
-  PageInfo* LivePageAt(PageIndex i) { return pages_[i].live ? &pages_[i] : nullptr; }
+
+  // --- Tier sets and cursor scans ----------------------------------------------
+  //
+  // One occupancy bitmap per tier over page slots: bit i is set iff slot i is
+  // live and in that tier. MapPage, Migrate and ExchangePages (the only
+  // writers of tier()) and ReleasePageSlot (slot death) maintain the bits;
+  // NewPageSlot grows the words. The sets are derived state: Serialize's load
+  // side rebuilds them from the slots, so they never reach snapshot bytes.
+  // The audit layer recounts them ("tier-sets").
+  const std::vector<uint64_t>& tier_set(TierId id) const {
+    return tier_sets_[static_cast<int>(id)];
+  }
+
+  // Resumable clock-hand walk over the member slots of `set`, in slot order
+  // from `cursor`. It visits exactly what the plain slot loop
+  //
+  //   for (visited = 0; visited < budget; ++visited) {
+  //     if (cursor >= slots) cursor = 0;
+  //     index = cursor++;
+  //     if (member(index) && fn(index, page(index))) break;
+  //   }
+  //
+  // visits, and leaves `cursor` where that loop leaves it (so a fruitless full
+  // sweep ends at its start, or at `slots` when it started at 0). `slots` is
+  // page_slots() at entry; skipped non-members count against `budget`. Whole
+  // non-member words are skipped at once. `mask`, when non-null, is ANDed into
+  // the membership words and must hold at least (slots + 63) / 64 words. `fn`
+  // may migrate the page it is handed: membership is re-read word by word, as
+  // the plain loop re-reads tier(). Returning true from `fn` stops the walk.
+  template <typename Fn>  // Fn(PageIndex, PageInfo&) -> bool (true = stop)
+  void ScanSlots(PageIndex& cursor, uint64_t budget, SlotSet set,
+                 const std::vector<uint64_t>* mask, Fn&& fn) {
+    const PageIndex slots = page_slots();
+    if (slots == 0) {
+      return;
+    }
+    uint64_t visited = 0;
+    while (visited < budget) {
+      if (cursor >= slots) {
+        cursor = 0;
+      }
+      const PageIndex word = cursor / 64;
+      const uint32_t shift = cursor % 64;
+      const uint64_t span =
+          std::min<uint64_t>({64 - shift, slots - cursor, budget - visited});
+      uint64_t bits = SlotSetWord(set, word);
+      if (mask != nullptr) {
+        bits &= (*mask)[word];
+      }
+      bits >>= shift;
+      if (span < 64) {
+        bits &= (uint64_t{1} << span) - 1;
+      }
+      if (bits == 0) {
+        cursor += static_cast<PageIndex>(span);
+        visited += span;
+        continue;
+      }
+      const uint32_t skip = static_cast<uint32_t>(std::countr_zero(bits));
+      const PageIndex index = cursor + skip;
+      cursor = index + 1;
+      visited += skip + 1;
+      if (fn(index, pages_[index])) {
+        return;
+      }
+    }
+  }
 
   uint64_t live_page_count() const { return live_pages_; }
   uint64_t mapped_4k_pages() const { return mapped_4k_; }
@@ -456,6 +526,26 @@ class MemorySystem {
   PageIndex NewPageSlot();
   void ReleasePageSlot(PageIndex index);
 
+  // Tier-set bit maintenance (see "Tier sets and cursor scans").
+  void SetTierBit(PageIndex index, TierId id) {
+    tier_sets_[static_cast<int>(id)][index / 64] |= uint64_t{1} << (index % 64);
+  }
+  void ClearTierBit(PageIndex index, TierId id) {
+    tier_sets_[static_cast<int>(id)][index / 64] &= ~(uint64_t{1} << (index % 64));
+  }
+  void RebuildTierSets();
+  uint64_t SlotSetWord(SlotSet set, PageIndex word) const {
+    switch (set) {
+      case SlotSet::kFast:
+        return tier_sets_[static_cast<int>(TierId::kFast)][word];
+      case SlotSet::kCapacity:
+        return tier_sets_[static_cast<int>(TierId::kCapacity)][word];
+      case SlotSet::kLive:
+        break;
+    }
+    return tier_sets_[0][word] | tier_sets_[1][word];
+  }
+
   // HugePageMeta pool: Acquire returns a zeroed meta (recycled if possible),
   // Recycle returns one for reuse. Every huge-page death must recycle.
   // zeroed=false skips re-zeroing a pooled buffer — only for callers that
@@ -513,6 +603,7 @@ class MemorySystem {
 
   std::vector<PageInfo> pages_;
   PageHotArrays hot_;  // SoA twin of pages_, resized in lockstep (NewPageSlot)
+  std::vector<uint64_t> tier_sets_[kNumTiers];  // index = TierId; derived state
   std::vector<PageIndex> free_slots_;
   std::vector<PageIndex> page_table_;  // vpn -> PageIndex
   uint64_t live_pages_ = 0;

@@ -15,12 +15,13 @@ void MemtisPolicy::Init(PolicyContext& ctx) {
   // Initial thresholds per paper §4.2.1: T_hot = T_warm = 1, T_cold = 0.
   thresholds_ = AccessHistogram::Thresholds{.hot = 1, .warm = 1, .cold = 0};
   base_hot_bin_ = 1;
+  below_hot_valid_ = false;
 }
 
 void MemtisPolicy::AccountPageAdded(PolicyContext& ctx, PageInfo& page) {
-  (void)ctx;
   const int bin = AccessHistogram::BinOf(page.hotness());
   page.histogram_bin = static_cast<uint8_t>(bin);
+  NoteBelowHot(ctx.mem.IndexOf(page), bin < thresholds_.hot);
   hist_.Add(bin, page.size_pages());
   TenantHist(page).Add(bin, page.size_pages());
   if (page.kind() == PageKind::kHuge) {
@@ -38,7 +39,7 @@ void MemtisPolicy::AccountPageAdded(PolicyContext& ctx, PageInfo& page) {
 }
 
 void MemtisPolicy::AccountPageRemoved(PolicyContext& ctx, PageInfo& page) {
-  (void)ctx;
+  NoteBelowHot(ctx.mem.IndexOf(page), false);
   hist_.Remove(page.histogram_bin, page.size_pages());
   TenantHist(page).Remove(page.histogram_bin, page.size_pages());
   if (page.kind() == PageKind::kHuge) {
@@ -134,6 +135,7 @@ void MemtisPolicy::OnAccess(PolicyContext& ctx, PageIndex index, PageInfo& page,
     hist_.Move(page.histogram_bin, page_bin, page.size_pages());
     TenantHist(page).Move(page.histogram_bin, page_bin, page.size_pages());
     page.histogram_bin = static_cast<uint8_t>(page_bin);
+    NoteBelowHot(index, page_bin < thresholds_.hot);
   }
 
   // eHR / rHR windows (paper §4.3.1). The eHR membership test uses the
@@ -181,7 +183,11 @@ void MemtisPolicy::OnAccess(PolicyContext& ctx, PageIndex index, PageInfo& page,
 
 void MemtisPolicy::AdaptThresholds(PolicyContext& ctx) {
   const uint64_t fast_units = ctx.mem.tier(TierId::kFast).total_frames();
+  const int old_hot = thresholds_.hot;
   thresholds_ = hist_.ComputeThresholds(fast_units, config_.alpha);
+  if (thresholds_.hot != old_hot) {
+    below_hot_valid_ = false;  // every cached bit compared against old_hot
+  }
   base_hot_bin_ = base_hist_.ComputeThresholds(fast_units, config_.alpha).hot;
   ++stats_.threshold_adaptations;
 }
@@ -226,6 +232,7 @@ void MemtisPolicy::CoolingEvent(PolicyContext& ctx) {
       TenantHist(page).Move(shifted_bin, actual_bin, size_pages);
     }
     page.histogram_bin = static_cast<uint8_t>(actual_bin);
+    NoteBelowHot(index, actual_bin < thresholds_.hot);
 
     if (is_huge) {
       // Cool subpages, correct the base-page histogram, and recompute the
@@ -498,6 +505,7 @@ void MemtisPolicy::HybridScan(PolicyContext& ctx) {
               base_hist_.Move(old_bin, bin, 1);
             }
             page.histogram_bin = static_cast<uint8_t>(bin);
+            NoteBelowHot(index, bin < thresholds_.hot);
           }
         } else if (page.tier() == TierId::kFast && !page.in_demotion_list) {
           page.in_demotion_list = true;
@@ -620,34 +628,49 @@ void MemtisPolicy::DemoteForSpace(PolicyContext& ctx, uint64_t target_free_frame
 
 void MemtisPolicy::RefillDemotionList(PolicyContext& ctx) {
   const PageIndex slots = ctx.mem.page_slots();
-  PageIndex visited = 0;
-  uint64_t found = 0;
-  while (visited < slots && found < 4096) {
-    if (demotion_refill_cursor_ >= slots) {
-      demotion_refill_cursor_ = 0;
-    }
-    PageInfo* page = ctx.mem.LivePageAt(demotion_refill_cursor_);
-    const PageIndex index = demotion_refill_cursor_;
-    ++demotion_refill_cursor_;
-    ++visited;
-    if (page == nullptr || page->tier() != TierId::kFast || page->in_demotion_list ||
-        page->histogram_bin >= thresholds_.hot) {
-      continue;
-    }
-    page->in_demotion_list = true;
-    demotion_list_.Push(page->ref(index));
-    found += page->size_pages();
+  const size_t words = (static_cast<size_t>(slots) + 63) / 64;
+  if (!below_hot_valid_) {
+    below_hot_.assign(words, 0);
+    below_hot_valid_ = true;
+    ctx.mem.ForEachLivePage([&](PageIndex index, PageInfo& page) {
+      NoteBelowHot(index, page.histogram_bin < thresholds_.hot);
+    });
+  } else if (below_hot_.size() < words) {
+    below_hot_.resize(words, 0);  // slots no page has been accounted in yet
   }
+  // The fast set ANDed with the filter yields every fast page whose cached bin
+  // is below hot (and possibly more); the body re-checks each one.
+  uint64_t found = 0;
+  ctx.mem.ScanSlots(demotion_refill_cursor_, slots, SlotSet::kFast, &below_hot_,
+                    [&](PageIndex index, PageInfo& page) {
+                      if (page.in_demotion_list ||
+                          page.histogram_bin >= thresholds_.hot) {
+                        return false;
+                      }
+                      page.in_demotion_list = true;
+                      demotion_list_.Push(page.ref(index));
+                      found += page.size_pages();
+                      return found >= 4096;
+                    });
 }
 
 bool MemtisPolicy::ValidateHistograms(MemorySystem& mem, std::string* error) const {
   AccessHistogram expected_hist;
   AccessHistogram expected_base;
   PageIndex bad_bin_page = kInvalidPage;
+  PageIndex filter_miss_page = kInvalidPage;
   mem.ForEachLivePage([&](PageIndex index, PageInfo& page) {
     const int bin = AccessHistogram::BinOf(page.hotness());
     if (bin != page.histogram_bin && bad_bin_page == kInvalidPage) {
       bad_bin_page = index;
+    }
+    // No-miss rule of the below-hot filter: a valid filter holds the bit of
+    // every fast page the refill would take.
+    if (below_hot_valid_ && filter_miss_page == kInvalidPage &&
+        page.tier() == TierId::kFast && page.histogram_bin < thresholds_.hot &&
+        (index / 64 >= below_hot_.size() ||
+         (below_hot_[index / 64] >> (index % 64) & 1) == 0)) {
+      filter_miss_page = index;
     }
     expected_hist.Add(bin, page.size_pages());
     if (page.kind() == PageKind::kHuge) {
@@ -687,6 +710,15 @@ bool MemtisPolicy::ValidateHistograms(MemorySystem& mem, std::string* error) con
     }
     return false;
   }
+  if (filter_miss_page != kInvalidPage) {
+    if (error != nullptr) {
+      *error = "fast page " + std::to_string(filter_miss_page) + " caches bin " +
+               std::to_string(mem.page(filter_miss_page).histogram_bin) +
+               " below hot bin " + std::to_string(thresholds_.hot) +
+               " but its below-hot filter bit is clear";
+    }
+    return false;
+  }
   return true;
 }
 
@@ -713,6 +745,9 @@ constexpr uint32_t kSectionMemtis = 0x4d544953u;  // "MTIS"
 template <typename Archive, typename Self>
 void MemtisPolicy::Serialize(Archive& ar, Self& self) {
   ar.Section(kSectionMemtis);
+  if constexpr (Archive::kReading) {
+    self.below_hot_valid_ = false;  // derived state: rebuilt at the next refill
+  }
   PebsSampler::Serialize(ar, self.sampler_);
   AccessHistogram::Serialize(ar, self.hist_);
   AccessHistogram::Serialize(ar, self.base_hist_);

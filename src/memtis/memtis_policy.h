@@ -116,6 +116,8 @@ class MemtisPolicy : public TieringPolicy {
   // Test/debug audit: recomputes both histograms from the live page metadata
   // and compares them (and every cached bin) against the incrementally
   // maintained state. O(pages x subpages); returns false on any mismatch.
+  // While the below-hot filter is valid it also checks the filter's no-miss
+  // rule (every live fast page caching a bin below hot has its bit set).
   // The diagnostic variant describes the first mismatch in `error`.
   bool ValidateHistograms(MemorySystem& mem) const {
     return ValidateHistograms(mem, nullptr);
@@ -160,6 +162,20 @@ class MemtisPolicy : public TieringPolicy {
   void AccountPageAdded(PolicyContext& ctx, PageInfo& page);
   void AccountPageRemoved(PolicyContext& ctx, PageInfo& page);
 
+  // Below-hot filter upkeep: records whether slot `index` now caches a bin
+  // below thresholds_.hot (a no-op while the filter is invalid).
+  void NoteBelowHot(PageIndex index, bool below_hot) {
+    if (!below_hot_valid_) {
+      return;
+    }
+    if (index / 64 >= below_hot_.size()) {
+      below_hot_.resize(index / 64 + 1, 0);
+    }
+    uint64_t& word = below_hot_[index / 64];
+    const uint64_t bit = uint64_t{1} << (index % 64);
+    word = below_hot ? (word | bit) : (word & ~bit);
+  }
+
   bool IsHotBin(int bin) const { return bin >= thresholds_.hot; }
   bool IsColdBin(int bin) const {
     return config_.use_warm_set ? bin < thresholds_.cold : bin < thresholds_.hot;
@@ -202,6 +218,16 @@ class MemtisPolicy : public TieringPolicy {
   PageList split_queue_;
   PageIndex demotion_refill_cursor_ = 0;
   PageIndex exchange_cursor_ = 0;
+
+  // Below-hot slot filter ANDed into the demotion refill scan: while valid,
+  // bit i is set iff slot i's cached histogram_bin is below thresholds_.hot.
+  // Updated wherever histogram_bin is written; invalidated whenever
+  // thresholds_.hot changes and rebuilt lazily at the next refill. The refill
+  // re-checks every page it visits, so the filter may over-approximate but
+  // must never miss a candidate. Derived state: not serialized, so a restored
+  // policy starts invalid.
+  std::vector<uint64_t> below_hot_;
+  bool below_hot_valid_ = false;
 
   // Skewness buckets rebuilt at each cooling scan: bucket b holds huge pages
   // with floor(log2(S_i)) == b (paper §4.3.2's "array of skewness factors").

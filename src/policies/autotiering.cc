@@ -72,26 +72,16 @@ void AutoTieringPolicy::Tick(PolicyContext& ctx) {
   demotion_started_ = true;
   const uint64_t target_free = static_cast<uint64_t>(
       static_cast<double>(FastTotalFrames(ctx)) * params_.high_watermark);
-  const PageIndex slots = ctx.mem.page_slots();
   // Two sweeps: demote score-0 pages first, then score<=1 if still short.
   for (int max_score = 0; max_score <= 1 && FastFreeFrames(ctx) < target_free;
        ++max_score) {
-    PageIndex visited = 0;
-    while (visited < slots && FastFreeFrames(ctx) < target_free) {
-      if (demote_cursor_ >= slots) {
-        demote_cursor_ = 0;
-      }
-      PageInfo* page = ctx.mem.LivePageAt(demote_cursor_);
-      const PageIndex index = demote_cursor_;
-      ++demote_cursor_;
-      ++visited;
-      if (page == nullptr || page->tier() != TierId::kFast) {
-        continue;
-      }
-      if (HistoryScore(*page) <= max_score) {
-        MigrateBackground(ctx, index, TierId::kCapacity);
-      }
-    }
+    ctx.mem.ScanSlots(demote_cursor_, ctx.mem.page_slots(), SlotSet::kFast, nullptr,
+                      [&](PageIndex index, PageInfo& page) {
+                        if (HistoryScore(page) <= max_score) {
+                          MigrateBackground(ctx, index, TierId::kCapacity);
+                        }
+                        return FastFreeFrames(ctx) >= target_free;
+                      });
   }
 }
 

@@ -68,7 +68,6 @@ void HeMemPolicy::Tick(PolicyContext& ctx) {
     return;
   }
 
-  const PageIndex slots = ctx.mem.page_slots();
   while (!promote_list_.empty()) {
     const PageRef ref = promote_list_.Pop();
     PageInfo* page = ctx.mem.Deref(ref);
@@ -81,22 +80,17 @@ void HeMemPolicy::Tick(PolicyContext& ctx) {
       continue;
     }
     // Make room by demoting cold fast pages (count below the hot threshold).
-    PageIndex visited = 0;
-    while (FastFreeFrames(ctx) < page->size_pages() && visited < slots) {
-      if (demote_cursor_ >= slots) {
-        demote_cursor_ = 0;
-      }
-      PageInfo* victim = ctx.mem.LivePageAt(demote_cursor_);
-      const PageIndex vindex = demote_cursor_;
-      ++demote_cursor_;
-      ++visited;
-      if (victim == nullptr || victim->tier() != TierId::kFast ||
-          victim->access_count() >= params_.hot_threshold) {
-        continue;
-      }
-      MigrateBackground(ctx, vindex, TierId::kCapacity);
+    const uint64_t need = page->size_pages();
+    if (FastFreeFrames(ctx) < need) {
+      ctx.mem.ScanSlots(demote_cursor_, ctx.mem.page_slots(), SlotSet::kFast, nullptr,
+                        [&](PageIndex vindex, PageInfo& victim) {
+                          if (victim.access_count() < params_.hot_threshold) {
+                            MigrateBackground(ctx, vindex, TierId::kCapacity);
+                          }
+                          return FastFreeFrames(ctx) >= need;
+                        });
     }
-    if (FastFreeFrames(ctx) >= page->size_pages()) {
+    if (FastFreeFrames(ctx) >= need) {
       MigrateBackground(ctx, ctx.mem.IndexOf(*page), TierId::kFast);
     } else if (params_.use_exchange) {
       // No free frame freed up: swap directly with a cold fast page of the

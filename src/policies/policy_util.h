@@ -104,22 +104,16 @@ inline bool FastBelowWatermark(const PolicyContext& ctx, double fraction) {
 template <typename ColdFn>  // ColdFn(const PageInfo&) -> bool
 PageIndex FindExchangeVictim(PolicyContext& ctx, PageIndex hot, PageKind kind,
                              PageIndex* cursor, ColdFn&& is_cold) {
-  const PageIndex slots = ctx.mem.page_slots();
-  for (PageIndex visited = 0; visited < slots; ++visited) {
-    if (*cursor >= slots) {
-      *cursor = 0;
-    }
-    const PageIndex index = (*cursor)++;
-    PageInfo* page = ctx.mem.LivePageAt(index);
-    if (page == nullptr || index == hot || page->tier() != TierId::kFast ||
-        page->kind() != kind) {
-      continue;
-    }
-    if (is_cold(*page)) {
-      return index;
-    }
-  }
-  return kInvalidPage;
+  PageIndex victim = kInvalidPage;
+  ctx.mem.ScanSlots(*cursor, ctx.mem.page_slots(), SlotSet::kFast, nullptr,
+                    [&](PageIndex index, PageInfo& page) {
+                      if (index == hot || page.kind() != kind || !is_cold(page)) {
+                        return false;
+                      }
+                      victim = index;
+                      return true;
+                    });
+  return victim;
 }
 
 // Token-bucket limiter for promotion traffic, modelling the kernel's NUMA
@@ -167,25 +161,16 @@ class HintFaultArm {
 
   // Arms up to scan_batch 4 KiB-pages worth of pages (a huge page counts 512).
   void ArmBatch(PolicyContext& ctx) {
-    uint64_t armed = 0;
-    const PageIndex slots = ctx.mem.page_slots();
-    if (slots == 0) {
+    if (scan_batch_ == 0) {
       return;
     }
-    PageIndex visited = 0;
-    while (armed < scan_batch_ && visited < slots) {
-      if (cursor_ >= slots) {
-        cursor_ = 0;
-      }
-      PageInfo* page = ctx.mem.LivePageAt(cursor_);
-      ++cursor_;
-      ++visited;
-      if (page == nullptr) {
-        continue;
-      }
-      page->policy_word0 |= armed_bit_;
-      armed += page->size_pages();
-    }
+    uint64_t armed = 0;
+    ctx.mem.ScanSlots(cursor_, ctx.mem.page_slots(), SlotSet::kLive, nullptr,
+                      [&](PageIndex, PageInfo& page) {
+                        page.policy_word0 |= armed_bit_;
+                        armed += page.size_pages();
+                        return armed >= scan_batch_;
+                      });
   }
 
   // Returns true (and disarms) when this access hits an armed page; the

@@ -50,26 +50,19 @@ void Tiering08Policy::Tick(PolicyContext& ctx) {
   }
   const uint64_t target_free = static_cast<uint64_t>(
       static_cast<double>(FastTotalFrames(ctx)) * params_.high_watermark);
-  const PageIndex slots = ctx.mem.page_slots();
-  PageIndex visited = 0;
-  // Bound one pass to two laps so a fully-referenced tier still yields pages.
-  while (visited < 2 * slots && FastFreeFrames(ctx) < target_free) {
-    if (demote_cursor_ >= slots) {
-      demote_cursor_ = 0;
-    }
-    PageInfo* page = ctx.mem.LivePageAt(demote_cursor_);
-    const PageIndex index = demote_cursor_;
-    ++demote_cursor_;
-    ++visited;
-    if (page == nullptr || page->tier() != TierId::kFast) {
-      continue;
-    }
-    if ((page->policy_word0 & kReferencedBit) != 0) {
-      page->policy_word0 &= ~kReferencedBit;  // second chance
-      continue;
-    }
-    MigrateBackground(ctx, index, TierId::kCapacity);
+  if (FastFreeFrames(ctx) >= target_free) {
+    return;
   }
+  // Bound one pass to two laps so a fully-referenced tier still yields pages.
+  ctx.mem.ScanSlots(demote_cursor_, uint64_t{2} * ctx.mem.page_slots(), SlotSet::kFast,
+                    nullptr, [&](PageIndex index, PageInfo& page) {
+                      if ((page.policy_word0 & kReferencedBit) != 0) {
+                        page.policy_word0 &= ~kReferencedBit;  // second chance
+                      } else {
+                        MigrateBackground(ctx, index, TierId::kCapacity);
+                      }
+                      return FastFreeFrames(ctx) >= target_free;
+                    });
 }
 
 }  // namespace memtis

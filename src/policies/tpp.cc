@@ -51,25 +51,18 @@ void TppPolicy::Tick(PolicyContext& ctx) {
   }
   const uint64_t target_free = static_cast<uint64_t>(
       static_cast<double>(FastTotalFrames(ctx)) * params_.high_watermark);
-  const PageIndex slots = ctx.mem.page_slots();
-  PageIndex visited = 0;
-  while (visited < 2 * slots && FastFreeFrames(ctx) < target_free) {
-    if (demote_cursor_ >= slots) {
-      demote_cursor_ = 0;
-    }
-    PageInfo* page = ctx.mem.LivePageAt(demote_cursor_);
-    const PageIndex index = demote_cursor_;
-    ++demote_cursor_;
-    ++visited;
-    if (page == nullptr || page->tier() != TierId::kFast) {
-      continue;
-    }
-    if ((page->policy_word0 & kReferencedBit) != 0) {
-      page->policy_word0 &= ~kReferencedBit;
-      continue;
-    }
-    MigrateBackground(ctx, index, TierId::kCapacity);
+  if (FastFreeFrames(ctx) >= target_free) {
+    return;
   }
+  ctx.mem.ScanSlots(demote_cursor_, uint64_t{2} * ctx.mem.page_slots(), SlotSet::kFast,
+                    nullptr, [&](PageIndex index, PageInfo& page) {
+                      if ((page.policy_word0 & kReferencedBit) != 0) {
+                        page.policy_word0 &= ~kReferencedBit;
+                      } else {
+                        MigrateBackground(ctx, index, TierId::kCapacity);
+                      }
+                      return FastFreeFrames(ctx) >= target_free;
+                    });
 }
 
 ClassifiedSizes TppPolicy::Classify(PolicyContext& ctx) {

@@ -120,6 +120,30 @@ TEST(AuditChecks, FrameConservationCatchesTierFlip) {
   EXPECT_GT(ViolationsFor(report, "frame-conservation"), 0) << report.ToJson(2);
 }
 
+TEST(AuditChecks, TierSetsCatchTierWrittenBehindTheirBack) {
+  MemtisRun run;
+  {
+    AuditReport clean;
+    AuditCollector out(&clean);
+    CheckTierSets(run.engine.mem(), out);
+    ASSERT_TRUE(clean.ok()) << clean.ToJson(2);
+  }
+  // Only MapPage/Migrate/ExchangePages may write a live page's tier; a write
+  // through the accessor leaves the slot in the old tier's set.
+  bool corrupted = false;
+  run.engine.mem().ForEachLivePage([&](PageIndex, PageInfo& page) {
+    if (!corrupted) {
+      page.tier() = OtherTier(page.tier());
+      corrupted = true;
+    }
+  });
+  ASSERT_TRUE(corrupted);
+  AuditReport report;
+  AuditCollector out(&report);
+  CheckIncrementalCounters(run.engine.mem(), out);
+  EXPECT_GT(ViolationsFor(report, "tier-sets"), 0) << report.ToJson(2);
+}
+
 TEST(AuditChecks, HugePageAccountingCatchesInflatedSubpageCounter) {
   MemtisRun run;
   bool corrupted = false;
