@@ -17,7 +17,8 @@
 # seventh pass building the sharded-engine tests under ThreadSanitizer (a
 # separate build tree — TSan and ASan cannot share one) and running the
 # shard-identity suite with real worker threads, since ShardedEngine is the
-# repo's first intra-cell threading, and an eighth pass re-running the
+# repo's first intra-cell threading — plus the in-process sweep loop, whose
+# pool threads share one Campaign — and an eighth pass re-running the
 # distributed-campaign chaos/differential suite (multi-worker byte-identity,
 # killed/hung workers, coordinator SIGKILL + restart, wire/claim-file fuzz)
 # under the sanitizers, since the coordinator/worker layer is the repo's
@@ -103,19 +104,23 @@ grep -q '"exchange-abort"' "$EXCH_OUT" || {
   exit 1
 }
 echo "exchange-abort storm: audit clean, exchanges and aborts recorded"
-echo "== seventh pass: ThreadSanitizer over the sharded-engine tests =="
+echo "== seventh pass: ThreadSanitizer over the threaded runner paths =="
 # ShardedEngine runs shards on a work-stealing thread pool; TSan certifies
 # the only cross-thread state (the atomic index, the shard-indexed result
-# slots, the join) is race-free. Separate tree: TSan is incompatible with
-# the ASan/UBSan flags above.
+# slots, the join) is race-free. Local sweeps drain one mutex-guarded
+# Campaign from every pool thread; the in-process sweep test (no fork)
+# certifies that hand-off too. Separate tree: TSan is incompatible with the
+# ASan/UBSan flags above.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
-cmake --build "$TSAN_DIR" -j"$JOBS" --target replay_differential_test
+cmake --build "$TSAN_DIR" -j"$JOBS" --target replay_differential_test runner_test
 "$TSAN_DIR/tests/replay_differential_test" \
     --gtest_filter='PolicySpread/ShardedIdentityTest.*:ReplayFuzz.*'
-echo "sharded-engine TSan pass: clean"
+"$TSAN_DIR/tests/runner_test" \
+    --gtest_filter='ResilientSweep.InProcessCampaignMatchesRunJobsAtAnyThreadCount'
+echo "threaded runner TSan pass: clean"
 echo "== eighth pass: distributed campaign chaos under ASan/UBSan =="
 # The multi-worker campaign suite — differential byte-identity at 1 and 4
 # workers over both backends, killed and hung workers, lease-expiry caps,

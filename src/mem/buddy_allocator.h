@@ -71,9 +71,13 @@ class BuddyAllocator {
   }
 
  private:
+  // The member initializers make links_.resize() a plain zero-store loop.
+  // Without them GCC copies the first element into every slot, and that loop
+  // — most of the cost of building a small cell — ran up to 1.6x slower
+  // whenever code placement made it straddle a 64-byte line.
   struct Block {
-    FrameId next;
-    FrameId prev;
+    FrameId next = 0;
+    FrameId prev = 0;
   };
 
   static constexpr FrameId kNil = static_cast<FrameId>(-1);

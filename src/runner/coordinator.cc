@@ -25,6 +25,17 @@ namespace {
 
 constexpr int kPollTickMs = 50;
 constexpr int kFileScanSleepMs = 40;
+constexpr uint64_t kBackoffCapMs = 10'000;
+
+// Deterministic exponential backoff before attempt k > 0:
+// min(base_ms << (k - 1), kBackoffCapMs).
+uint64_t BackoffMs(uint64_t base_ms, int attempt) {
+  if (base_ms >= kBackoffCapMs) {
+    return kBackoffCapMs;
+  }
+  const uint64_t backoff = base_ms << (attempt - 1 < 16 ? attempt - 1 : 16);
+  return backoff < kBackoffCapMs ? backoff : kBackoffCapMs;
+}
 
 bool PathExists(const std::string& path) {
   struct stat st;
@@ -46,7 +57,7 @@ bool AppendLine(const std::string& path, const std::string& line) {
 }  // namespace
 
 Campaign::Campaign(const std::vector<JobSpec>& jobs,
-                   const CampaignOptions& options,
+                   const ExecOptions& options,
                    const std::map<std::string, ManifestEntry>& preloaded,
                    const ProgressFn& progress, std::string* manifest_error)
     : jobs_(jobs), options_(options), progress_(progress) {
@@ -66,7 +77,7 @@ Campaign::Campaign(const std::vector<JobSpec>& jobs,
       *manifest_error = open_error;  // serve anyway; checkpointing is lost
     }
   }
-  // Resume pass, mirroring RunJobsResilient: trust only ok manifest entries.
+  // Resume pass: trust only ok manifest entries; failed cells re-run.
   for (size_t i = 0; i < jobs.size(); ++i) {
     const auto it = preloaded.find(fingerprints_[i]);
     if (it == preloaded.end() || !it->second.ok) {
@@ -103,7 +114,7 @@ std::optional<WorkItem> Campaign::NextIssue(uint64_t now_ms) {
   CheckCancelled();
   for (size_t i = 0; i < states_.size(); ++i) {
     CellState& st = states_[i];
-    if (!Issuable(st)) {
+    if (!Issuable(st) || now_ms < st.not_before_ms) {
       continue;
     }
     st.phase = CellPhase::kIssued;
@@ -121,6 +132,17 @@ std::optional<WorkItem> Campaign::NextIssue(uint64_t now_ms) {
     return item;
   }
   return std::nullopt;
+}
+
+uint64_t Campaign::NextReadyMs() const {
+  uint64_t ready = 0;
+  for (const CellState& st : states_) {
+    if (Issuable(st) && st.not_before_ms != 0 &&
+        (ready == 0 || st.not_before_ms < ready)) {
+      ready = st.not_before_ms;
+    }
+  }
+  return ready;
 }
 
 bool Campaign::ObserveClaim(size_t index, int attempt, uint64_t issue,
@@ -156,8 +178,8 @@ bool Campaign::Renew(size_t index, int attempt, uint64_t issue,
   return true;
 }
 
-bool Campaign::OnOutcome(size_t index, int attempt,
-                         const SupervisedOutcome& outcome) {
+bool Campaign::OnOutcome(size_t index, int attempt, SupervisedOutcome outcome,
+                         uint64_t now_ms) {
   if (index >= states_.size()) {
     ++stats_.stale_results;
     return false;
@@ -171,10 +193,12 @@ bool Campaign::OnOutcome(size_t index, int attempt,
     ++stats_.stale_results;
     return false;
   }
+  // attempts is recomputed, not trusted from the wire: attempt indices are
+  // global, so this attempt is number attempt + 1.
+  outcome.attempts = attempt + 1;
   if (outcome.ok) {
-    // attempts is recomputed, not trusted from the wire: attempt indices are
-    // global, so this attempt is number attempt + 1.
-    Decide(index, true, attempt + 1, outcome.result, JobFailure());
+    outcome.failure = JobFailure();
+    Decide(index, std::move(outcome));
     return true;
   }
   if (IsRecoverable(outcome.failure.kind) &&
@@ -184,15 +208,16 @@ bool Campaign::OnOutcome(size_t index, int attempt,
     }
     st.phase = CellPhase::kPending;
     st.attempt = attempt + 1;
+    st.not_before_ms = now_ms + BackoffMs(options_.backoff_base_ms, st.attempt);
     ++st.issue;
     ++stats_.retries;
     return true;
   }
-  JobFailure failure = outcome.failure;
-  if (failure.reproducer_cmdline.empty()) {
-    failure.reproducer_cmdline = ReproducerCmdline(jobs_[index], attempt);
+  if (outcome.failure.reproducer_cmdline.empty()) {
+    outcome.failure.reproducer_cmdline = ReproducerCmdline(jobs_[index], attempt);
   }
-  Decide(index, false, attempt + 1, JobResult(), std::move(failure));
+  outcome.result = JobResult();
+  Decide(index, std::move(outcome));
   return true;
 }
 
@@ -212,12 +237,15 @@ void Campaign::OnLeaseLost(size_t index, uint64_t issue) {
   ++st.reissues;
   ++stats_.leases_lost;
   if (st.reissues > options_.max_reissues) {
-    JobFailure failure;
-    failure.kind = FailureKind::kLeaseExpired;
-    failure.message = "lease lost " + std::to_string(st.reissues) +
-                      " times (worker died or stopped renewing); giving up";
-    failure.reproducer_cmdline = ReproducerCmdline(jobs_[index], st.attempt);
-    Decide(index, false, st.attempt, JobResult(), std::move(failure));
+    SupervisedOutcome expired;
+    expired.attempts = st.attempt;
+    expired.failure.kind = FailureKind::kLeaseExpired;
+    expired.failure.message =
+        "lease lost " + std::to_string(st.reissues) +
+        " times (worker died or stopped renewing); giving up";
+    expired.failure.reproducer_cmdline =
+        ReproducerCmdline(jobs_[index], st.attempt);
+    Decide(index, std::move(expired));
   }
 }
 
@@ -261,8 +289,7 @@ std::vector<CellOutcome> Campaign::Finish() {
   return std::move(outcomes_);
 }
 
-void Campaign::Decide(size_t index, bool ok, int attempts, JobResult result,
-                      JobFailure failure) {
+void Campaign::Decide(size_t index, SupervisedOutcome record) {
   CellState& st = states_[index];
   if (st.phase == CellPhase::kIssued) {
     --issued_count_;
@@ -270,21 +297,16 @@ void Campaign::Decide(size_t index, bool ok, int attempts, JobResult result,
   st.phase = CellPhase::kDone;
   ++decided_;
   if (writer_.is_open()) {
-    SupervisedOutcome record;
-    record.ok = ok;
-    record.attempts = attempts;
-    record.result = result;
-    record.failure = failure;
     writer_.Append(fingerprints_[index], jobs_[index], record);
   }
   CellOutcome& out = outcomes_[index];
-  out.ok = ok;
+  out.ok = record.ok;
   out.ran = true;
-  out.attempts = attempts;
-  out.result = std::move(result);
-  out.failure = std::move(failure);
+  out.attempts = record.attempts;
+  out.result = std::move(record.result);
+  out.failure = std::move(record.failure);
   Report(index);
-  if (!ok && !options_.keep_going) {
+  if (!out.ok && !options_.keep_going) {
     cancel_latched_ = true;
   }
 }
@@ -357,7 +379,7 @@ void HandleFrame(Conn* conn, const std::string& frame, Campaign* campaign) {
       break;
     }
     case WorkerRequest::Kind::kResult: {
-      campaign->OnOutcome(req.index, req.attempt, req.outcome);
+      campaign->OnOutcome(req.index, req.attempt, std::move(req.outcome), now);
       RemoveLease(conn, req.index, req.issue);
       sent = SendFrame(conn->fd, EncodeSimpleReply(CoordinatorReply::Kind::kOk));
       break;
@@ -382,7 +404,7 @@ void DropConn(Conn* conn, Campaign* campaign) {
 }  // namespace
 
 std::vector<CellOutcome> ServeSocketCampaign(
-    const std::vector<JobSpec>& jobs, const CampaignOptions& options,
+    const std::vector<JobSpec>& jobs, const ExecOptions& options,
     uint16_t port, const std::function<void(uint16_t)>& on_listening,
     const std::map<std::string, ManifestEntry>& preloaded,
     const ProgressFn& progress, CampaignStats* stats, std::string* error,
@@ -549,7 +571,8 @@ void ScanResultsFiles(const std::string& dir,
       outcome.result = std::move(manifest_entry.result);
       outcome.failure = std::move(manifest_entry.failure);
       for (const size_t index : it->second) {
-        campaign->OnOutcome(index, manifest_entry.attempts - 1, outcome);
+        campaign->OnOutcome(index, manifest_entry.attempts - 1, outcome,
+                            MonotonicMs());
       }
     }
   }
@@ -560,7 +583,7 @@ void ScanResultsFiles(const std::string& dir,
 
 std::vector<CellOutcome> ServeFileCampaign(
     const std::vector<JobSpec>& jobs, const std::string& dir,
-    const CampaignOptions& options,
+    const ExecOptions& options,
     const std::map<std::string, ManifestEntry>& preloaded,
     const ProgressFn& progress, CampaignStats* stats, std::string* error,
     std::string* manifest_error) {
@@ -676,7 +699,7 @@ std::vector<CellOutcome> ServeFileCampaign(
             campaign.ObserveClaim(i, attempt, issue, now);
             break;
           }
-          if ((attempt > 0 || issue > 0) &&
+          if ((attempt > 0 || issue > 0) && !campaign.BackingOff(i, now) &&
               published.insert(TupleKey(i, attempt, issue)).second) {
             std::string line;
             JsonWriter w(&line, 0);

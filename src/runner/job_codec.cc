@@ -260,10 +260,10 @@ std::string ReproducerCmdline(const JobSpec& spec, int attempt) {
   cmd += " --benchmarks=" + spec.benchmark;
   cmd += " --machines=";
   cmd += spec.machine_name();
+  // The ratio names the cell even when --fast-bytes overrides the sizing.
+  cmd += " --ratios=" + JsonWriter::FormatDouble(spec.fast_ratio);
   if (spec.fast_bytes_override != 0) {
     cmd += " --fast-bytes=" + std::to_string(spec.fast_bytes_override);
-  } else {
-    cmd += " --ratios=" + JsonWriter::FormatDouble(spec.fast_ratio);
   }
   // One cell: collapse the seed axis into base-seed so seed_index 0 of the
   // repro derives this cell's exact workload_seed_offset.
@@ -275,6 +275,9 @@ std::string ReproducerCmdline(const JobSpec& spec, int attempt) {
          JsonWriter::FormatDouble(ResolvedFootprintScale(spec));
   if (spec.snapshot_interval_ns != 0) {
     cmd += " --snapshot-ns=" + std::to_string(spec.snapshot_interval_ns);
+  }
+  if (spec.shards > 1) {
+    cmd += " --shards=" + std::to_string(spec.shards);
   }
   if (!spec.cpu_contention) {
     cmd += " --no-contention";

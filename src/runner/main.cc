@@ -13,14 +13,17 @@
 
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -57,7 +60,6 @@ struct CliOptions {
   std::string worker;           // --worker coordinator addr or queue dir
   std::string worker_name;      // --worker-name (default: w<pid>)
   std::string port_file;        // --port-file target for --serve=0
-  uint64_t lease_timeout_ms = 10'000;
   int result_batch = 1;         // --result-batch: worker-side result batching
   int threads = 0;              // 0 -> ThreadPool::DefaultThreadCount()
   bool quiet = false;
@@ -223,20 +225,53 @@ std::vector<std::string> SplitList(const std::string& csv) {
   return out;
 }
 
+// Every numeric option value goes through here, and all of it must parse:
+// "3e6", "two", "1x" or "-1" for a count is a usage error, never a silent
+// 3, default, 1 or 2^64-1. Integers take digits only (no sign, no exponent)
+// and must fit T; floating-point values are one finite strtod number.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  if (text.empty()) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || errno == ERANGE ||
+        !std::isfinite(value)) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  } else {
+    constexpr uint64_t kMax = static_cast<uint64_t>(std::numeric_limits<T>::max());
+    uint64_t value = 0;
+    for (const char c : text) {
+      const uint64_t digit = static_cast<uint64_t>(c - '0');
+      if (c < '0' || c > '9' || value > (kMax - digit) / 10) {
+        return false;
+      }
+      value = value * 10 + digit;
+    }
+    *out = static_cast<T>(value);
+  }
+  return true;
+}
+
 // "A:B" -> A/(A+B) (so 1:2 -> 1/3, 2:1 -> 2/3); otherwise a plain fraction.
 bool ParseRatio(const std::string& text, double* out) {
   const size_t colon = text.find(':');
   if (colon != std::string::npos) {
-    const double a = std::atof(text.substr(0, colon).c_str());
-    const double b = std::atof(text.substr(colon + 1).c_str());
-    if (a <= 0.0 || b < 0.0) {
+    double a = 0.0;
+    double b = 0.0;
+    if (!ParseNumber(text.substr(0, colon), &a) ||
+        !ParseNumber(text.substr(colon + 1), &b) || a <= 0.0 || b < 0.0) {
       return false;
     }
     *out = a / (a + b);
     return true;
   }
-  *out = std::atof(text.c_str());
-  return *out > 0.0 && *out <= 1.0;
+  return ParseNumber(text, out) && *out > 0.0 && *out <= 1.0;
 }
 
 bool Contains(const std::vector<std::string>& names, const std::string& name) {
@@ -312,33 +347,26 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return !cli->sweep.machines.empty();
   }
   if (key == "seeds") {
-    cli->sweep.seeds = std::atoi(value.c_str());
-    return cli->sweep.seeds >= 1;
+    return ParseNumber(value, &cli->sweep.seeds) && cli->sweep.seeds >= 1;
   }
   if (key == "base-seed") {
-    cli->sweep.base_seed = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->sweep.base_seed);
   }
   if (key == "accesses") {
-    cli->sweep.accesses = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->sweep.accesses);
   }
   if (key == "footprint-scale") {
-    cli->sweep.footprint_scale = std::atof(value.c_str());
-    return cli->sweep.footprint_scale > 0.0;
+    return ParseNumber(value, &cli->sweep.footprint_scale) &&
+           cli->sweep.footprint_scale > 0.0;
   }
   if (key == "fast-bytes") {
-    cli->sweep.fast_bytes_override = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->sweep.fast_bytes_override);
   }
   if (key == "snapshot-ns") {
-    cli->sweep.snapshot_interval_ns = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->sweep.snapshot_interval_ns);
   }
   if (key == "shards") {
-    cli->sweep.shards =
-        static_cast<uint32_t>(std::strtoull(value.c_str(), nullptr, 10));
-    return cli->sweep.shards >= 1;
+    return ParseNumber(value, &cli->sweep.shards) && cli->sweep.shards >= 1;
   }
   if (key == "no-contention") {
     cli->sweep.cpu_contention = false;
@@ -349,16 +377,14 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "threads") {
-    cli->threads = std::atoi(value.c_str());
-    return cli->threads >= 0;
+    return ParseNumber(value, &cli->threads);
   }
   if (key == "format") {
     cli->format = value;
     return value == "json" || value == "csv";
   }
   if (key == "indent") {
-    cli->sink.indent = std::atoi(value.c_str());
-    return cli->sink.indent >= 0;
+    return ParseNumber(value, &cli->sink.indent);
   }
   if (key == "timelines") {
     cli->sink.timelines = true;
@@ -385,8 +411,7 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "audit-epoch-ns") {
-    cli->sweep.audit_epoch_interval_ns = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->sweep.audit_epoch_interval_ns);
   }
   if (key == "colocate") {
     ColocateSpec spec;
@@ -413,13 +438,14 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "job-timeout-ms") {
-    cli->exec.job_timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
     cli->exec.supervise = true;
-    return cli->exec.job_timeout_ms > 0;
+    return ParseNumber(value, &cli->exec.job_timeout_ms) &&
+           cli->exec.job_timeout_ms > 0;
   }
   if (key == "retries") {
-    const int retries = std::atoi(value.c_str());
-    if (retries < 0) {
+    int retries = 0;
+    if (!ParseNumber(value, &retries) ||
+        retries == std::numeric_limits<int>::max()) {
       return false;
     }
     cli->exec.max_attempts = retries + 1;
@@ -427,8 +453,7 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "backoff-ms") {
-    cli->exec.backoff_base_ms = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->exec.backoff_base_ms);
   }
   if (key == "resume") {
     cli->exec.manifest_path = value;
@@ -439,21 +464,19 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return true;
   }
   if (key == "checkpoint-ns") {
-    cli->exec.checkpoint_ns = std::strtoull(value.c_str(), nullptr, 10);
     cli->exec.supervise = true;
-    return cli->exec.checkpoint_ns > 0;
+    return ParseNumber(value, &cli->exec.checkpoint_ns) &&
+           cli->exec.checkpoint_ns > 0;
   }
   if (key == "checkpoint-dir") {
     cli->exec.checkpoint_dir = value;
     return !value.empty();
   }
   if (key == "result-batch") {
-    cli->result_batch = std::atoi(value.c_str());
-    return cli->result_batch >= 1;
+    return ParseNumber(value, &cli->result_batch) && cli->result_batch >= 1;
   }
   if (key == "engine-seed") {
-    cli->sweep.engine_seed = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
+    return ParseNumber(value, &cli->sweep.engine_seed);
   }
   if (key == "list-cells") {
     cli->list_cells = true;
@@ -472,8 +495,8 @@ bool ApplyOption(const std::string& key, const std::string& value, CliOptions* c
     return !value.empty();
   }
   if (key == "lease-timeout-ms") {
-    cli->lease_timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
-    return cli->lease_timeout_ms > 0;
+    return ParseNumber(value, &cli->exec.lease_timeout_ms) &&
+           cli->exec.lease_timeout_ms > 0;
   }
   if (key == "port-file") {
     cli->port_file = value;
@@ -668,6 +691,7 @@ bool Validate(const SweepSpec& sweep) {
 int Main(int argc, char** argv) {
   CliOptions cli;
   cli.sweep.seeds = BenchSeeds();
+  cli.exec.backoff_base_ms = 100;  // --backoff-ms default
   if (!ParseArgs(argc, argv, &cli)) {
     std::fprintf(stderr, "\n");
     PrintUsage(stderr);
@@ -783,15 +807,6 @@ int Main(int argc, char** argv) {
   std::string manifest_error;
   std::vector<CellOutcome> outcomes;
   if (!cli.serve.empty()) {
-    CampaignOptions campaign;
-    campaign.max_attempts = cli.exec.max_attempts;
-    campaign.lease_timeout_ms = cli.lease_timeout_ms;
-    campaign.job_timeout_ms = cli.exec.job_timeout_ms;
-    campaign.checkpoint_ns = cli.exec.checkpoint_ns;
-    campaign.keep_going = cli.exec.keep_going;
-    campaign.manifest_path = cli.exec.manifest_path;
-    campaign.cancelled = cli.exec.cancelled;
-
     CampaignStats stats;
     std::string serve_error;
     uint16_t port = 0;
@@ -814,7 +829,7 @@ int Main(int argc, char** argv) {
                        cell_count, bound);
         }
       };
-      outcomes = ServeSocketCampaign(jobs, campaign, port, on_listening,
+      outcomes = ServeSocketCampaign(jobs, cli.exec, port, on_listening,
                                      preloaded, progress, &stats, &serve_error,
                                      &manifest_error);
     } else {
@@ -822,7 +837,7 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "memtis_run: coordinating %zu cells via queue %s\n",
                      jobs.size(), cli.serve.c_str());
       }
-      outcomes = ServeFileCampaign(jobs, cli.serve, campaign, preloaded,
+      outcomes = ServeFileCampaign(jobs, cli.serve, cli.exec, preloaded,
                                    progress, &stats, &serve_error,
                                    &manifest_error);
     }

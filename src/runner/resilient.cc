@@ -1,9 +1,11 @@
 #include "src/runner/resilient.h"
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 
-#include "src/runner/job_codec.h"
+#include "src/common/netio.h"
+#include "src/runner/coordinator.h"
 
 namespace memtis {
 
@@ -16,112 +18,57 @@ std::vector<CellOutcome> RunJobsResilient(
     const std::vector<JobSpec>& jobs, ThreadPool& pool, const ExecOptions& exec,
     const std::map<std::string, ManifestEntry>& preloaded,
     const ProgressFn& progress, std::string* manifest_error) {
-  std::vector<CellOutcome> outcomes(jobs.size());
-  std::vector<std::string> fingerprints;
-  fingerprints.reserve(jobs.size());
-  for (const JobSpec& job : jobs) {
-    fingerprints.push_back(JobFingerprint(job));
-  }
-
-  ManifestWriter writer;
-  if (!exec.manifest_path.empty()) {
-    std::string open_error;
-    if (!writer.Open(exec.manifest_path, &open_error) &&
-        manifest_error != nullptr) {
-      *manifest_error = open_error;  // run anyway; checkpointing is lost
-    }
-  }
-
   const bool supervise = NeedsSupervision(exec);
   SupervisorOptions sup;
   sup.job_timeout_ms = exec.job_timeout_ms;
-  sup.max_attempts = exec.max_attempts < 1 ? 1 : exec.max_attempts;
-  sup.backoff_base_ms = exec.backoff_base_ms;
   sup.checkpoint_ns = exec.checkpoint_ns;
   sup.checkpoint_dir = exec.checkpoint_dir;
 
-  std::mutex progress_mu;
-  size_t done = 0;
-  const size_t total = jobs.size();
-  const auto report = [&](size_t index) {
-    if (progress != nullptr) {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      progress(++done, total, index);
-    } else {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      ++done;
+  // Every pool thread drains the one Campaign: issue, run the attempt with
+  // the lock released, report, wake the others. A thread sleeps only while
+  // nothing is issuable and the campaign is undecided — until an in-flight
+  // cell reports or the earliest retry backoff elapses.
+  Campaign campaign(jobs, exec, preloaded, progress, manifest_error);
+  std::mutex mu;
+  std::condition_variable changed;
+  const auto drain = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      const uint64_t now = MonotonicMs();
+      std::optional<WorkItem> item = campaign.NextIssue(now);
+      if (!item.has_value()) {
+        if (campaign.Finished()) {
+          return;
+        }
+        const uint64_t ready = campaign.NextReadyMs();
+        if (ready > now) {
+          changed.wait_for(lock, std::chrono::milliseconds(ready - now));
+        } else {
+          changed.wait(lock);
+        }
+        continue;
+      }
+      lock.unlock();
+      SupervisedOutcome outcome;
+      if (supervise) {
+        SupervisorOptions attempt_sup = sup;
+        attempt_sup.attempt = item->attempt;
+        outcome = RunJobSupervised(item->spec, attempt_sup);
+      } else {
+        outcome.result = RunJob(item->spec);
+        outcome.ok = true;
+      }
+      lock.lock();
+      campaign.OnOutcome(item->index, item->attempt, std::move(outcome),
+                         MonotonicMs());
+      changed.notify_all();
     }
   };
-
-  // Resume pass: trust only ok manifest entries; failed cells re-run.
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const auto it = preloaded.find(fingerprints[i]);
-    if (it == preloaded.end() || !it->second.ok) {
-      continue;
-    }
-    CellOutcome& out = outcomes[i];
-    out.ok = true;
-    out.from_manifest = true;
-    out.attempts = it->second.attempts;
-    out.result = it->second.result;
-    report(i);
-  }
-
-  std::atomic<bool> abort_requested{false};
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (outcomes[i].from_manifest) {
-      continue;
-    }
-    pool.Submit([&, i] {
-      if (abort_requested.load(std::memory_order_relaxed) ||
-          (exec.cancelled != nullptr && exec.cancelled())) {
-        // Leave the outcome untouched; the post-Wait pass marks it
-        // kCancelled. Cancel once so the queue drains instead of spinning
-        // through every remaining cell's header.
-        if (!abort_requested.exchange(true)) {
-          pool.RequestCancel();
-        }
-        return;
-      }
-      SupervisedOutcome run;
-      if (supervise) {
-        run = RunJobSupervised(jobs[i], sup);
-      } else {
-        run.result = RunJob(jobs[i]);
-        run.ok = true;
-        run.attempts = 1;
-      }
-      if (writer.is_open()) {
-        writer.Append(fingerprints[i], jobs[i], run);
-      }
-      CellOutcome& out = outcomes[i];
-      out.ok = run.ok;
-      out.ran = true;
-      out.attempts = run.attempts;
-      out.result = std::move(run.result);
-      out.failure = std::move(run.failure);
-      report(i);
-      if (!run.ok && !exec.keep_going &&
-          !abort_requested.exchange(true)) {
-        pool.RequestCancel();
-      }
-    });
+  for (int t = 0; t < pool.thread_count(); ++t) {
+    pool.Submit(drain);
   }
   pool.Wait();
-  writer.Close();
-
-  // Cells dropped by fail-fast or SIGINT: structured "never ran" records with
-  // a reproducer, so a report can still point at every missing cell.
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    CellOutcome& out = outcomes[i];
-    if (out.ran || out.from_manifest) {
-      continue;
-    }
-    out.failure.kind = FailureKind::kCancelled;
-    out.failure.message = "cell never ran (sweep cancelled)";
-    out.failure.reproducer_cmdline = ReproducerCmdline(jobs[i], 0);
-  }
-  return outcomes;
+  return campaign.Finish();
 }
 
 }  // namespace memtis

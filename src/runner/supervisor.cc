@@ -8,12 +8,12 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
+#include "src/common/netio.h"
 #include "src/runner/checkpoint_runner.h"
 #include "src/runner/job_codec.h"
 
@@ -31,25 +31,9 @@ constexpr char kTagResult = 'R';
 constexpr char kTagCheck = 'C';
 constexpr char kTagFail = 'F';
 
-constexpr uint64_t kBackoffCapMs = 10'000;
 // Safety cap for MEMTIS_HANG_CELL when no watchdog is armed: exit instead of
 // wedging a test run forever.
 constexpr int kHangSafetyCapSeconds = 600;
-
-uint64_t NowMs() {
-  timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<uint64_t>(ts.tv_sec) * 1000 +
-         static_cast<uint64_t>(ts.tv_nsec) / 1'000'000;
-}
-
-void SleepMs(uint64_t ms) {
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(ms / 1000);
-  ts.tv_nsec = static_cast<long>((ms % 1000) * 1'000'000);
-  while (nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
 
 void WriteFully(int fd, const char* data, size_t size) {
   while (size > 0) {
@@ -198,7 +182,7 @@ struct PipeReader {
 };
 
 // One forked attempt. Fills either outcome->result (ok) or outcome->failure
-// (everything but the reproducer, which the retry loop owns).
+// (everything but the reproducer, which RunJobSupervised adds).
 void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
                 int attempt, const SupervisorOptions& options,
                 SupervisedOutcome* outcome) {
@@ -243,7 +227,7 @@ void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
   PipeReader err{stderr_pipe[0], true, {}, options.stderr_tail_bytes};
 
   const bool has_deadline = options.job_timeout_ms > 0;
-  const uint64_t deadline_ms = NowMs() + options.job_timeout_ms;
+  const uint64_t deadline_ms = MonotonicMs() + options.job_timeout_ms;
   bool timed_out = false;
 
   while (result.open || err.open) {
@@ -259,7 +243,7 @@ void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
     }
     int timeout = -1;
     if (has_deadline && !timed_out) {
-      const uint64_t now = NowMs();
+      const uint64_t now = MonotonicMs();
       timeout = now >= deadline_ms ? 0 : static_cast<int>(deadline_ms - now);
     }
     const int rc = poll(fds, nfds, timeout);
@@ -359,51 +343,30 @@ void RunAttempt(const JobSpec& spec, const std::string& fingerprint,
 SupervisedOutcome RunJobSupervised(const JobSpec& spec,
                                    const SupervisorOptions& options) {
   const std::string fingerprint = JobFingerprint(spec);
-  const int max_attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-
-  const int first_attempt = options.first_attempt < 0 ? 0 : options.first_attempt;
-
+  const int attempt = options.attempt < 0 ? 0 : options.attempt;
   const bool checkpointing =
       options.checkpoint_ns > 0 && !options.checkpoint_dir.empty();
 
+  JobSpec attempt_spec = spec;
+  attempt_spec.engine_seed = AttemptEngineSeed(spec.engine_seed, attempt);
   SupervisedOutcome outcome;
-  int attempt = first_attempt;
-  int fresh_attempts = 0;   // attempts with distinct derived seeds
-  int resume_retries = 0;   // same-attempt restore-from-snapshot re-runs
-  int runs = 0;
-  for (;;) {
-    if (runs > 0 && options.backoff_base_ms > 0) {
-      const uint64_t backoff = options.backoff_base_ms
-                               << (runs - 1 < 16 ? runs - 1 : 16);
-      SleepMs(backoff < kBackoffCapMs ? backoff : kBackoffCapMs);
-    }
-    JobSpec attempt_spec = spec;
-    attempt_spec.engine_seed = AttemptEngineSeed(spec.engine_seed, attempt);
+  outcome.attempts = attempt + 1;
+  for (int resume_retries = 0;; ++resume_retries) {
     RunAttempt(attempt_spec, fingerprint, attempt, options, &outcome);
-    ++runs;
-    outcome.attempts = attempt + 1;
     if (outcome.ok) {
       return outcome;
     }
-    outcome.failure.reproducer_cmdline = ReproducerCmdline(spec, attempt);
-    if (!IsRecoverable(outcome.failure.kind)) {
-      return outcome;
-    }
     // SIGKILL-class deaths leave valid snapshots behind: re-run the SAME
-    // attempt so the child restores instead of recomputing. Everything else
-    // advances the attempt (new seed; old snapshots go stale and are
-    // ignored), exactly as before checkpointing existed.
+    // attempt so the child restores instead of recomputing. The snapshots
+    // sit on the disk of whoever runs the attempt, so this loop stays here
+    // rather than in the scheduler.
     const bool resumable =
         checkpointing &&
         (outcome.failure.kind == FailureKind::kTimeout ||
          (outcome.failure.kind == FailureKind::kCrash &&
           outcome.failure.signal == SIGKILL));
-    if (resumable && resume_retries < options.max_resume_retries) {
-      ++resume_retries;
-      continue;
-    }
-    ++attempt;
-    if (++fresh_attempts >= max_attempts) {
+    if (!resumable || resume_retries >= options.max_resume_retries) {
+      outcome.failure.reproducer_cmdline = ReproducerCmdline(spec, attempt);
       return outcome;
     }
   }

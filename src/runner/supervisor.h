@@ -13,12 +13,14 @@
 //    tell the difference. tests/runner_test.cc holds this property.
 //  - Deadlines. job_timeout_ms > 0 arms a watchdog; on overrun the child is
 //    SIGKILLed and the failure kind is kTimeout.
-//  - Deterministic retries. Up to max_attempts attempts per cell; attempt k
-//    reruns the cell with engine_seed' = DeriveSeedOffset(engine_seed, k) —
-//    the same documented scheme that spaces workload seeds — so every retry
-//    is reproducible from (spec, attempt) alone and the failure's reproducer
-//    command line pins the exact attempt seed. Backoff between attempts is
-//    deterministic too: backoff_base_ms << (attempt - 1), capped.
+//  - One attempt per call. RunJobSupervised runs the cell once, at global
+//    attempt number SupervisorOptions::attempt, with engine_seed' =
+//    DeriveSeedOffset(engine_seed, attempt) — the same documented scheme that
+//    spaces workload seeds — so every attempt is reproducible from (spec,
+//    attempt) alone and the failure's reproducer command line pins the exact
+//    attempt seed. Whether to retry, at which attempt, and after what backoff
+//    is the caller's decision: the Campaign scheduler (coordinator.h) makes
+//    it for local and distributed sweeps alike.
 //  - SIM_CHECK reporting. The child installs a check-failure hook
 //    (src/common/check.h) that writes the failing expression through the
 //    result pipe before aborting, so JobFailure::check_expr carries the
@@ -29,7 +31,7 @@
 //
 //   MEMTIS_CRASH_CELL=<fingerprint>[:N]  SIM_CHECK-fail the cell with that
 //       JobFingerprint on attempts 0..N-1 (default: every attempt). With N=1
-//       and max_attempts >= 2 a cell crashes once and then succeeds —
+//       and a retry budget a cell crashes once and then succeeds —
 //       deterministically — which is how the retry tests are built.
 //   MEMTIS_HANG_CELL=<fingerprint>       spin in the named cell until the
 //       watchdog kills it (a bounded safety cap exits eventually if no
@@ -60,12 +62,6 @@ struct JobFailure {
 struct SupervisorOptions {
   // Wall-clock deadline per attempt in milliseconds; 0 disarms the watchdog.
   uint64_t job_timeout_ms = 0;
-  // Total attempts per cell (>= 1). Only recoverable failures (see
-  // src/common/status.h) are retried.
-  int max_attempts = 1;
-  // Deterministic exponential backoff before attempt k > 0:
-  // min(backoff_base_ms << (k - 1), 10'000) ms. 0 disables sleeping.
-  uint64_t backoff_base_ms = 0;
   // How much of the child's stderr to keep for JobFailure::stderr_tail.
   size_t stderr_tail_bytes = 4096;
   // Checkpointing (src/runner/checkpoint_runner.h). When checkpoint_ns > 0
@@ -73,32 +69,28 @@ struct SupervisorOptions {
   // a snapshot of the full simulation state every checkpoint_ns of virtual
   // time under checkpoint_dir, keyed by (fingerprint, attempt). After a
   // SIGKILL-class death (watchdog timeout, or a crash whose signal is
-  // SIGKILL) the retry re-runs the SAME attempt, which restores from the
+  // SIGKILL) the call re-runs the SAME attempt, which restores from the
   // newest valid snapshot and finishes byte-identical to an uninterrupted
-  // run. All other failures advance the attempt as before — the new attempt
-  // seed makes old snapshots stale and they are ignored. Cells whose policy
+  // run. All other failures end the call; a retry at the next attempt (new
+  // seed) finds the old snapshots stale and ignores them. Cells whose policy
   // or workload cannot checkpoint fail up front with kInvalidSpec.
   uint64_t checkpoint_ns = 0;
   std::string checkpoint_dir;
-  // Bound on same-attempt resume retries across the whole call (a snapshot
-  // that keeps dying mid-restore must not loop forever; once exhausted the
-  // failure falls back to the ordinary advance-the-attempt path).
+  // Bound on same-attempt resume re-runs within this call (a snapshot that
+  // keeps dying mid-restore must not loop forever; once exhausted the
+  // SIGKILL-class failure is returned like any other).
   int max_resume_retries = 8;
-  // Global index of the first attempt this call runs (local runs leave it 0).
-  // The distributed coordinator (src/runner/coordinator.h) sets it when
-  // re-issuing a failed cell to another worker, so attempt k of this call is
-  // global attempt first_attempt + k everywhere it matters: the derived
-  // engine seed, the MEMTIS_CRASH_CELL/MEMTIS_HANG_CELL attempt window, the
-  // failure reproducer, and SupervisedOutcome::attempts — which therefore
-  // counts from global attempt 0, not from this call. That is what makes a
-  // cell that fails on worker A and succeeds on worker B byte-identical to
-  // the same retry happening inside one local RunJobSupervised call.
-  int first_attempt = 0;
+  // Global attempt number this call runs: it selects the derived engine
+  // seed, the MEMTIS_CRASH_CELL/MEMTIS_HANG_CELL attempt window, the failure
+  // reproducer, and SupervisedOutcome::attempts (= attempt + 1, counted from
+  // global attempt 0). A cell that fails on worker A and succeeds on worker B
+  // is therefore byte-identical to the same retry run locally.
+  int attempt = 0;
 };
 
 struct SupervisedOutcome {
   bool ok = false;
-  int attempts = 0;    // attempts actually made (>= 1)
+  int attempts = 0;    // global attempt count: options.attempt + 1
   JobResult result;    // valid when ok
   JobFailure failure;  // kind != kNone when !ok
 };
@@ -109,9 +101,9 @@ inline constexpr uint64_t AttemptEngineSeed(uint64_t engine_seed, int attempt) {
   return DeriveSeedOffset(engine_seed, static_cast<uint32_t>(attempt));
 }
 
-// Runs one cell under supervision, retrying per `options`. Thread-safe: safe
-// to call concurrently from multiple ThreadPool workers (each call forks its
-// own child).
+// Runs one attempt of a cell under supervision. Thread-safe: safe to call
+// concurrently from multiple ThreadPool workers (each call forks its own
+// child).
 SupervisedOutcome RunJobSupervised(const JobSpec& spec,
                                    const SupervisorOptions& options);
 

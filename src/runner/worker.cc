@@ -118,8 +118,7 @@ int RunWorker(WorkQueue& queue, const WorkerOptions& options) {
           ReproducerCmdline(item.spec, item.attempt);
     } else {
       SupervisorOptions sup;
-      sup.max_attempts = 1;  // retries are the coordinator's, at global scope
-      sup.first_attempt = item.attempt;
+      sup.attempt = item.attempt;  // retries are the coordinator's
       sup.job_timeout_ms =
           item.job_timeout_ms != 0 ? item.job_timeout_ms : options.job_timeout_ms;
       if (item.checkpoint_ns != 0 && !options.checkpoint_dir.empty()) {

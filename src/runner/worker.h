@@ -2,7 +2,7 @@
 //
 // RunWorker pulls cells from a WorkQueue, runs each under the existing
 // supervisor as exactly one attempt at the cell's global attempt number
-// (SupervisorOptions::first_attempt), heartbeats the lease from a side
+// (SupervisorOptions::attempt), heartbeats the lease from a side
 // thread, and streams the fingerprint-keyed outcome back. The worker holds
 // no campaign state: killing it at any point only costs the leases it held,
 // which the coordinator re-issues deterministically.

@@ -784,7 +784,7 @@ TEST(Fuzz, CoordinatorSurvivesGarbageClients) {
   std::vector<CellOutcome> outcomes;
   std::thread coordinator([&] {
     outcomes = ServeSocketCampaign(
-        jobs, CampaignOptions{}, 0,
+        jobs, ExecOptions{}, 0,
         [&](uint16_t bound) { port_promise.set_value(bound); }, {}, nullptr,
         &stats, &serve_error);
   });
@@ -871,7 +871,7 @@ TEST(Fuzz, FileQueueSurvivesTornTailsAndJunkClaims) {
     squatter << std::string(512, '\xFF') << "\n";
   }
 
-  CampaignOptions options;
+  ExecOptions options;
   options.lease_timeout_ms = 300;  // evict the squatter quickly
   CampaignStats stats;
   std::string serve_error;

@@ -62,6 +62,18 @@ TEST(PaperShapes, Fig7_MemtisBetweenTppAndAllDram) {
   EXPECT_GT(memtis, dram);
 }
 
+// Fig. 10 split ablation: page-size determination is what lifts the skewed
+// huge-page workloads — disabling splits (memtis-ns) costs MEMTIS over 20 %
+// of its runtime on silo and btree at 1:8.
+TEST(PaperShapes, Fig10_SplitLiftsSkewedWorkloads) {
+  for (const char* benchmark : {"silo", "btree"}) {
+    const double memtis = RuntimeOf("memtis", benchmark, 1.0 / 9.0, 2'000'000, 0.2);
+    const double no_split =
+        RuntimeOf("memtis-ns", benchmark, 1.0 / 9.0, 2'000'000, 0.2);
+    EXPECT_LT(memtis, no_split * 0.8) << benchmark;
+  }
+}
+
 // Fig. 11 shape: splitting reduces the Btree model's RSS substantially.
 TEST(PaperShapes, Fig11_SplitShrinksBtreeRss) {
   auto workload = MakeWorkload("btree", 0.2);

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,34 +333,6 @@ std::string TempPath(const std::string& name) {
   return path;
 }
 
-TEST(ThreadPool, RequestCancelDropsQueuedWorkAndIgnoresLateSubmits) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  pool.Submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  // Make sure the single worker is inside the blocker, not still queued.
-  while (!started.load()) std::this_thread::yield();
-  // Queued behind the blocker; all dropped by the cancel below.
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&] { ran.fetch_add(1); });
-  }
-  pool.RequestCancel();
-  EXPECT_TRUE(pool.cancel_requested());
-  release.store(true);
-  pool.Wait();
-  // The in-flight task drains normally; the queued ones never run.
-  EXPECT_EQ(ran.load(), 1);
-
-  pool.Submit([&] { ran.fetch_add(1); });  // no-op after cancellation
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST(Supervisor, SupervisedSuccessIsByteIdenticalToInProcessRun) {
   const JobSpec spec = SmallSpec();
   const JobResult in_process = RunJob(spec);
@@ -403,6 +376,16 @@ TEST(Supervisor, DeadlineOverrunReportsTimeoutWithReproducer) {
       << out.failure.reproducer_cmdline;
 }
 
+// A one-cell sweep with a retry budget, scheduled like any other sweep:
+// supervised attempts, retries from the Campaign, no backoff.
+CellOutcome RunWithRetries(const JobSpec& spec, int max_attempts) {
+  ExecOptions exec;
+  exec.supervise = true;
+  exec.max_attempts = max_attempts;
+  ThreadPool pool(1);
+  return RunJobsResilient({spec}, pool, exec)[0];
+}
+
 // A cell that crashes on attempt 0 only must succeed on attempt 1 with the
 // documented retry seed — byte-identical to running the spec in-process with
 // that seed folded in by hand.
@@ -410,10 +393,7 @@ TEST(Supervisor, RetryAfterInjectedCrashIsDeterministic) {
   const JobSpec spec = SmallSpec();
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(spec) + ":1");
 
-  SupervisorOptions options;
-  options.max_attempts = 2;
-  options.backoff_base_ms = 0;
-  const SupervisedOutcome out = RunJobSupervised(spec, options);
+  const CellOutcome out = RunWithRetries(spec, /*max_attempts=*/2);
   ASSERT_TRUE(out.ok) << out.failure.message;
   EXPECT_EQ(out.attempts, 2);
 
@@ -424,25 +404,20 @@ TEST(Supervisor, RetryAfterInjectedCrashIsDeterministic) {
 
 // The retry-accounting contract distributed campaigns depend on: a retry
 // split across processes (attempt 0 fails on worker A, attempt 1 runs on
-// worker B via first_attempt) must report the same global attempt count,
-// seed, reproducer, and bytes as a single-process max_attempts=2 retry.
+// worker B via SupervisorOptions::attempt) must report the same global
+// attempt count, seed, reproducer, and bytes as a local max_attempts=2 retry.
 TEST(Supervisor, FirstAttemptRunsAtGlobalAttemptNumber) {
   const JobSpec spec = SmallSpec();
   ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(spec) + ":1");
 
   // Single-process reference: crash once, succeed on the folded seed.
-  SupervisorOptions local;
-  local.max_attempts = 2;
-  local.backoff_base_ms = 0;
-  const SupervisedOutcome reference = RunJobSupervised(spec, local);
+  const CellOutcome reference = RunWithRetries(spec, /*max_attempts=*/2);
   ASSERT_TRUE(reference.ok);
   ASSERT_EQ(reference.attempts, 2);
 
   // "Worker A": one attempt at global attempt 0 — crashes, counts 1 attempt,
   // and its reproducer names attempt 0.
   SupervisorOptions one_shot;
-  one_shot.max_attempts = 1;
-  one_shot.backoff_base_ms = 0;
   const SupervisedOutcome a0 = RunJobSupervised(spec, one_shot);
   ASSERT_FALSE(a0.ok);
   EXPECT_EQ(a0.attempts, 1);
@@ -452,7 +427,7 @@ TEST(Supervisor, FirstAttemptRunsAtGlobalAttemptNumber) {
   // "Worker B": one attempt at global attempt 1 — the crash hook (armed for
   // attempt 0 only) does not fire, the seed folds, and the global attempt
   // count lands at 2, exactly like the single-process retry.
-  one_shot.first_attempt = 1;
+  one_shot.attempt = 1;
   const SupervisedOutcome a1 = RunJobSupervised(spec, one_shot);
   ASSERT_TRUE(a1.ok) << a1.failure.message;
   EXPECT_EQ(a1.attempts, 2);
@@ -636,6 +611,144 @@ TEST(ResilientSweep, FailFastCancelsRemainingCellsWithReproducers) {
   const std::string summary = FailureSummary(jobs, outcomes);
   EXPECT_NE(summary.find("repro: memtis_run"), std::string::npos) << summary;
   EXPECT_NE(summary.find("crash"), std::string::npos) << summary;
+}
+
+// A local sweep is an in-process Campaign drained by every pool thread:
+// its bytes must equal the legacy RunJobs at any thread count, and each cell
+// is decided — and appended to the manifest — exactly once.
+TEST(ResilientSweep, InProcessCampaignMatchesRunJobsAtAnyThreadCount) {
+  SweepSpec sweep;
+  sweep.systems = {"memtis", "autonuma", "hemem"};
+  sweep.benchmarks = {"btree", "silo"};
+  sweep.accesses = 20'000;
+  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
+  ASSERT_EQ(jobs.size(), 6u);
+
+  ThreadPool reference_pool(2);
+  const std::vector<JobResult> reference = RunJobs(jobs, reference_pool);
+  SinkOptions opts;
+  opts.indent = 0;
+  const std::string reference_bytes = SweepToJson(sweep, jobs, reference, opts);
+
+  for (const int threads : {1, 4}) {
+    ExecOptions exec;
+    exec.manifest_path =
+        TempPath("memtis_inprocess_" + std::to_string(threads) + ".jsonl");
+    ThreadPool pool(threads);
+    const std::vector<CellOutcome> outcomes = RunJobsResilient(jobs, pool, exec);
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    std::vector<JobResult> results;
+    for (const CellOutcome& cell : outcomes) {
+      ASSERT_TRUE(cell.ok && cell.ran) << cell.failure.message;
+      EXPECT_EQ(cell.attempts, 1);
+      results.push_back(cell.result);
+    }
+    EXPECT_EQ(SweepToJson(sweep, jobs, results, opts), reference_bytes)
+        << threads << " threads";
+
+    std::map<std::string, ManifestEntry> entries;
+    ManifestLoadStats stats;
+    ASSERT_TRUE(LoadManifest(exec.manifest_path, &entries, &stats));
+    EXPECT_EQ(stats.lines_total, jobs.size()) << threads << " threads";
+    EXPECT_EQ(entries.size(), jobs.size()) << threads << " threads";
+    for (const JobSpec& job : jobs) {
+      EXPECT_EQ(entries.count(JobFingerprint(job)), 1u);
+    }
+    std::remove(exec.manifest_path.c_str());
+  }
+}
+
+// Backoff is a scheduling delay, not a sleep: while a crashed cell waits out
+// its backoff, the only pool thread runs the next cell, so cell 1 is decided
+// before cell 0's retry.
+TEST(ResilientSweep, RetryBackoffDoesNotBlockThePoolThread) {
+  SweepSpec sweep;
+  sweep.systems = {"memtis", "autonuma"};
+  sweep.benchmarks = {"btree"};
+  sweep.accesses = 20'000;
+  const std::vector<JobSpec> jobs = ExpandJobs(sweep);
+  ASSERT_EQ(jobs.size(), 2u);
+  ScopedEnv crash("MEMTIS_CRASH_CELL", JobFingerprint(jobs[0]) + ":1");
+
+  ExecOptions exec;
+  exec.supervise = true;
+  exec.max_attempts = 2;
+  exec.backoff_base_ms = 50;
+  std::vector<size_t> decided;
+  ThreadPool pool(1);
+  const std::vector<CellOutcome> outcomes = RunJobsResilient(
+      jobs, pool, exec, {},
+      [&decided](size_t, size_t, size_t index) { decided.push_back(index); });
+  ASSERT_TRUE(outcomes[0].ok && outcomes[1].ok);
+  EXPECT_EQ(outcomes[0].attempts, 2);
+  EXPECT_EQ(decided, (std::vector<size_t>{1, 0}));
+}
+
+// A failure's reproducer must name the failed cell itself: fed back to
+// memtis_run --list-cells, the attempt-0 reproducer of every spec in this
+// matrix prints the spec's own fingerprint.
+TEST(JobCodec, ReproducerListsTheSameCell) {
+  std::vector<JobSpec> matrix;
+  JobSpec base;
+  base.system = "memtis";
+  base.benchmark = "btree";
+  base.accesses = 20'000;
+  base.base_seed = 3;
+  {
+    JobSpec spec = base;
+    spec.benchmark = "stream";
+    spec.shards = 2;
+    matrix.push_back(spec);
+  }
+  {
+    JobSpec spec = base;
+    spec.fast_ratio = 1.0 / 9.0;
+    spec.fast_bytes_override = 64ull << 20;
+    matrix.push_back(spec);
+  }
+  {
+    JobSpec spec = base;
+    spec.cxl = true;
+    matrix.push_back(spec);
+  }
+  {
+    JobSpec spec = base;
+    spec.cpu_contention = false;
+    matrix.push_back(spec);
+  }
+  {
+    JobSpec spec = base;
+    spec.audit = true;
+    spec.audit_epoch_interval_ns = 50'000'000;
+    matrix.push_back(spec);
+  }
+  {
+    JobSpec spec = base;
+    spec.faults = "migrate-abort=0.1,seed=7";
+    matrix.push_back(spec);
+  }
+
+  for (const JobSpec& spec : matrix) {
+    const std::string repro = ReproducerCmdline(spec, 0);
+    ASSERT_EQ(repro.rfind("memtis_run ", 0), 0u) << repro;
+    std::string cmd = MEMTIS_RUN_PATH;
+    std::stringstream args(repro.substr(std::string("memtis_run").size()));
+    std::string arg;
+    while (args >> arg) {
+      cmd += " '" + arg + "'";
+    }
+    cmd += " --list-cells 2>&1";
+    std::FILE* pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << cmd;
+    std::string listed;
+    char buf[512];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+      listed += buf;
+    }
+    EXPECT_EQ(::pclose(pipe), 0) << cmd << "\n" << listed;
+    EXPECT_EQ(listed.substr(0, listed.find(' ')), JobFingerprint(spec))
+        << repro << "\n" << listed;
+  }
 }
 
 TEST(JobCodec, FailureRoundTripsThroughJson) {

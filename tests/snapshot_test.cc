@@ -573,7 +573,7 @@ TEST(Checkpoint, FourWorkerCampaignWithKillsIsByteIdentical) {
   const std::vector<CellOutcome> reference = RunJobsResilient(jobs, pool, exec);
 
   const std::string ckpt_dir = TempDirFor("ck_dist");
-  CampaignOptions options;
+  ExecOptions options;
   options.checkpoint_ns = kIntervalNs;
   options.lease_timeout_ms = 4'000;
 
