@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/mem/memory_system.h"
 
 namespace memtis {
 namespace {
@@ -114,6 +118,31 @@ TEST(BuddyAllocator, MixedOrderStressStaysConsistent) {
   EXPECT_EQ(buddy.free_frames(), buddy.total_frames());
   EXPECT_TRUE(buddy.CheckConsistency());
   EXPECT_DOUBLE_EQ(buddy.huge_block_ratio(), 1.0);
+}
+
+// Resident set size of this process in bytes, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(BuddyAllocator, ConstructionTouchesNoPerFrameStorage) {
+  // 256 GiB across two tiers is 64M frames: eager link and state storage
+  // (17 B per frame) would make about 1.1 GB resident. Lazy storage writes
+  // none of it until a block is split or freed.
+  const uint64_t before = ResidentBytes();
+  MemorySystem mem(
+      MemoryConfig{.fast_frames = 16ULL << 20, .capacity_frames = 48ULL << 20});
+  const uint64_t after = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after - before, 64ULL << 20)
+      << "resident growth " << (after - before) << " B";
+  EXPECT_EQ(mem.tier(TierId::kFast).free_frames(), 16ULL << 20);
+  EXPECT_EQ(mem.tier(TierId::kCapacity).free_frames(), 48ULL << 20);
+  EXPECT_TRUE(mem.tier(TierId::kCapacity).allocator().CheckConsistency());
 }
 
 class BuddyOrderTest : public ::testing::TestWithParam<int> {};

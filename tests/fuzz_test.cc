@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "src/runner/work_queue.h"
 #include "src/runner/worker.h"
 #include "src/fault/fault.h"
+#include "src/mem/buddy_allocator.h"
 #include "src/memtis/memtis_policy.h"
 #include "src/memtis/policy_registry.h"
 #include "src/runner/job_codec.h"
@@ -441,6 +444,215 @@ TEST(Fuzz, ScanSlotsMatchesSlotWalkReference) {
   EXPECT_GT(stops, 100u);
   EXPECT_GT(scan_mem.migration_stats().exchanges, 0u);
   EXPECT_GT(scan_mem.migration_stats().splits, 0u);
+}
+
+// The buddy allocator as it was before its storage went lazy: every frame's
+// links and state allocated, and every order-9 block pushed, at construction.
+// Kept as the oracle BuddyAllocator must match allocation for allocation and
+// snapshot byte for snapshot byte.
+class EagerBuddyReference {
+ public:
+  static constexpr int kMaxOrder = BuddyAllocator::kMaxOrder;
+
+  explicit EagerBuddyReference(uint64_t num_frames)
+      : total_frames_(num_frames / kSubpagesPerHuge * kSubpagesPerHuge),
+        links_(total_frames_),
+        state_(total_frames_, 0) {
+    for (auto& head : free_head_) head = kNil;
+    for (FrameId f = 0; f < total_frames_; f += kSubpagesPerHuge) {
+      PushFree(f, kMaxOrder);
+    }
+    free_frames_ = total_frames_;
+  }
+
+  std::optional<FrameId> Allocate(int order) {
+    int found = order;
+    while (found <= kMaxOrder && free_head_[found] == kNil) ++found;
+    if (found > kMaxOrder) return std::nullopt;
+    const FrameId frame = free_head_[found];
+    RemoveFree(frame, found);
+    while (found > order) {
+      --found;
+      PushFree(frame + (1ULL << found), found);
+    }
+    free_frames_ -= 1ULL << order;
+    return frame;
+  }
+
+  void Free(FrameId frame, int order) {
+    free_frames_ += 1ULL << order;
+    while (order < kMaxOrder) {
+      const FrameId buddy = frame ^ (1ULL << order);
+      if (state_[buddy] != order + 1) break;
+      RemoveFree(buddy, order);
+      frame = std::min(frame, buddy);
+      ++order;
+    }
+    PushFree(frame, order);
+  }
+
+  uint64_t free_frames() const { return free_frames_; }
+
+  // The bytes BuddyAllocator::Serialize wrote for this layout.
+  std::string Snapshot() const {
+    StateWriter w;
+    w.Expect(total_frames_);
+    w.U64(free_frames_);
+    for (FrameId head : free_head_) w.U64(head);
+    for (const Link& link : links_) {
+      w.U64(link.next);
+      w.U64(link.prev);
+    }
+    w.Bytes(state_.data(), state_.size());
+    return w.Take();
+  }
+
+ private:
+  static constexpr FrameId kNil = static_cast<FrameId>(-1);
+  struct Link {
+    FrameId next = 0;
+    FrameId prev = 0;
+  };
+
+  void PushFree(FrameId frame, int order) {
+    state_[frame] = static_cast<uint8_t>(order + 1);
+    links_[frame] = Link{free_head_[order], kNil};
+    if (free_head_[order] != kNil) links_[free_head_[order]].prev = frame;
+    free_head_[order] = frame;
+  }
+
+  void RemoveFree(FrameId frame, int order) {
+    const Link link = links_[frame];
+    if (link.prev != kNil) {
+      links_[link.prev].next = link.next;
+    } else {
+      free_head_[order] = link.next;
+    }
+    if (link.next != kNil) links_[link.next].prev = link.prev;
+    state_[frame] = 0;
+  }
+
+  uint64_t total_frames_;
+  uint64_t free_frames_ = 0;
+  FrameId free_head_[kMaxOrder + 1];
+  std::vector<Link> links_;
+  std::vector<uint8_t> state_;
+};
+
+std::string BuddySnapshot(const BuddyAllocator& buddy) {
+  StateWriter w;
+  BuddyAllocator::Serialize(w, buddy);
+  return w.Take();
+}
+
+// One lockstep trial of Fuzz.BuddyMatchesEagerReference on a fresh tier of
+// `blocks` 2 MiB blocks.
+void RunBuddyLockstep(uint64_t blocks, int trial) {
+  const uint64_t frames = blocks * kSubpagesPerHuge;
+  BuddyAllocator lazy(frames);
+  EagerBuddyReference eager(frames);
+  Rng rng(977 + 2 * blocks + trial);
+  std::vector<std::pair<FrameId, int>> held;
+  uint64_t ops = 0;
+  uint64_t failed = 0;
+  const auto check = [&](const char* what) {
+    ++ops;
+    ASSERT_EQ(lazy.free_frames(), eager.free_frames()) << what << " op " << ops;
+    std::string error;
+    ASSERT_TRUE(lazy.CheckConsistency(&error)) << what << " op " << ops << ": " << error;
+    const std::string got = BuddySnapshot(lazy);
+    const std::string want = eager.Snapshot();
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    ASSERT_TRUE(got == want) << what << " op " << ops << ": snapshots of " << got.size()
+                             << " and " << want.size() << " bytes first differ at byte "
+                             << diff.first - got.begin();
+  };
+  const auto allocate = [&](int order) {
+    const std::optional<FrameId> got = lazy.Allocate(order);
+    ASSERT_EQ(got, eager.Allocate(order)) << "order " << order << " op " << ops;
+    if (got.has_value()) {
+      held.emplace_back(*got, order);
+    } else {
+      ++failed;
+    }
+    check("allocate");
+  };
+  const auto free_one = [&] {
+    const size_t pick = rng.NextBelow(held.size());
+    const auto [frame, order] = held[pick];
+    held[pick] = held.back();
+    held.pop_back();
+    lazy.Free(frame, order);
+    eager.Free(frame, order);
+    check("free");
+  };
+  const auto random_order = [&] {
+    return rng.NextBool(0.3) ? BuddyAllocator::kMaxOrder
+                             : static_cast<int>(rng.NextBelow(BuddyAllocator::kMaxOrder));
+  };
+  check("construct");
+  for (int round = 0; round < 3; ++round) {
+    // Churn: the first round's pushes land on top of the untouched range.
+    for (int step = 0; step < 200; ++step) {
+      if (held.empty() || rng.NextBool(0.55)) {
+        allocate(random_order());
+      } else {
+        free_one();
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (trial == 1 && round == 0) {
+      const std::string bytes = BuddySnapshot(lazy);
+      BuddyAllocator loaded(frames);
+      StateReader reader(bytes);
+      BuddyAllocator::Serialize(reader, loaded);
+      ASSERT_TRUE(reader.ok());
+      lazy = std::move(loaded);
+      check("load");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Fill: random orders, stepping down after a failure, until empty.
+    while (lazy.free_frames() > 0) {
+      for (int order = random_order(); order >= 0; --order) {
+        const size_t before = held.size();
+        allocate(order);
+        if (::testing::Test::HasFatalFailure()) return;
+        if (held.size() > before) break;
+      }
+    }
+    allocate(0);  // exhausted: must fail on both sides
+    if (::testing::Test::HasFatalFailure()) return;
+    // Drain, with a few re-allocations mixed in, until everything is free.
+    while (!held.empty()) {
+      if (rng.NextBool(0.15)) {
+        allocate(random_order());
+      } else {
+        free_one();
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_EQ(lazy.free_frames(), frames);
+  }
+  EXPECT_GT(failed, 3u);
+  EXPECT_GT(ops, 600u);
+}
+
+TEST(Fuzz, BuddyMatchesEagerReference) {
+  // The lazy allocator and the eager oracle run the same random Allocate/Free
+  // sequence at every order, three rounds of churn, fill to exhaustion and
+  // drain back to empty, on fresh allocators of each size. After every
+  // operation the returned frames, free_frames(), the audit and the full
+  // snapshot bytes must agree. In the second trial the lazy side is replaced
+  // by a copy loaded from its own snapshot after the first churn, so the
+  // fully materialized layout is held to the oracle too.
+  for (const uint64_t blocks : {uint64_t{1}, uint64_t{2}, uint64_t{37}}) {
+    for (int trial = 0; trial < 2; ++trial) {
+      SCOPED_TRACE("blocks " + std::to_string(blocks) + " trial " +
+                   std::to_string(trial));
+      RunBuddyLockstep(blocks, trial);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(Fuzz, FaultStormSurvivesEveryPolicy) {
