@@ -50,10 +50,12 @@ std::string CanonicalJobSpec(const JobSpec& spec) {
   out += std::to_string(spec.fast_bytes_override);
   out += ";fscale=";
   out += JsonWriter::FormatDouble(ResolvedFootprintScale(spec));
+  // The seed axis hashes as the one offset the workload sees, written as
+  // (offset, 0): seed_index 0 keeps its historical text, and a repetition
+  // shares its fingerprint with the --base-seed reproducer that runs it.
   out += ";base_seed=";
-  out += std::to_string(spec.base_seed);
-  out += ";seed_index=";
-  out += std::to_string(spec.seed_index);
+  out += std::to_string(spec.workload_seed_offset());
+  out += ";seed_index=0";
   out += ";engine_seed=";
   out += std::to_string(spec.engine_seed);
   out += ";audit=";

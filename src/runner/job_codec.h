@@ -26,8 +26,11 @@ class JsonValue;
 // (accesses and footprint_scale at their effective values), so running the
 // same flags under a different MEMTIS_BENCH_* environment yields different
 // fingerprints and a manifest can never be silently reused across scales.
-// The opaque memtis_tweak hook contributes only a presence bit — resuming a
-// tweaked sweep assumes the tweak function itself is unchanged.
+// The seed axis is folded in the same way: (base_seed, seed_index) hashes as
+// (workload_seed_offset(), 0), so a repetition and the one-seed reproducer
+// that runs it share a fingerprint. The opaque memtis_tweak hook contributes
+// only a presence bit — resuming a tweaked sweep assumes the tweak function
+// itself is unchanged.
 std::string CanonicalJobSpec(const JobSpec& spec);
 
 // 16-hex-digit FNV-1a64 of CanonicalJobSpec: the manifest key and the handle

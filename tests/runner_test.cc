@@ -727,6 +727,12 @@ TEST(JobCodec, ReproducerListsTheSameCell) {
     spec.faults = "migrate-abort=0.1,seed=7";
     matrix.push_back(spec);
   }
+  {
+    // The second repetition of a --seeds=2 sweep.
+    JobSpec spec = base;
+    spec.seed_index = 1;
+    matrix.push_back(spec);
+  }
 
   for (const JobSpec& spec : matrix) {
     const std::string repro = ReproducerCmdline(spec, 0);
