@@ -22,6 +22,10 @@
 //   large_footprint_btree one MEMTIS btree cell at footprint scale 256
 //                         (40 GiB simulated), end to end, ns/access: daemon
 //                         scans that grow with the page count dominate here
+//   large_footprint_btree_1024
+//                         the same cell at footprint scale 1024 (160 GiB
+//                         simulated): what is left of Engine construction
+//                         and per-page host memory shows here
 //
 // Usage: hotpath_bench [--smoke] [--benchmarks=a,b] [--repeat=N] [--out=FILE]
 //                      [--force]
@@ -317,18 +321,28 @@ PerfResult BenchSweepWallclock(bool smoke) {
   return PerfResult{"sweep_wallclock", "job", run.jobs.size(), t1 - t0};
 }
 
-PerfResult BenchLargeFootprintBtree(bool smoke) {
+// One MEMTIS btree cell of 3M accesses at the given footprint scale; --smoke
+// shrinks it to `smoke_scale` and 20K accesses.
+PerfResult BenchBtreeCell(const char* name, double scale, double smoke_scale,
+                          bool smoke) {
   JobSpec spec;
   spec.system = "memtis";
   spec.benchmark = "btree";
-  spec.footprint_scale = smoke ? 1.0 : 256.0;
+  spec.footprint_scale = smoke ? smoke_scale : scale;
   spec.accesses = smoke ? 20'000 : 3'000'000;
   const uint64_t t0 = MonotonicNowNs();
   const JobResult result = RunJob(spec);
   const uint64_t t1 = MonotonicNowNs();
   Blackhole(result.metrics.accesses);
-  return PerfResult{"large_footprint_btree", "access", result.metrics.accesses,
-                    t1 - t0};
+  return PerfResult{name, "access", result.metrics.accesses, t1 - t0};
+}
+
+PerfResult BenchLargeFootprintBtree(bool smoke) {
+  return BenchBtreeCell("large_footprint_btree", 256.0, 1.0, smoke);
+}
+
+PerfResult BenchLargeFootprintBtree1024(bool smoke) {
+  return BenchBtreeCell("large_footprint_btree_1024", 1024.0, 2.0, smoke);
 }
 
 struct Registered {
@@ -351,6 +365,7 @@ constexpr Registered kBenchmarks[] = {
     {"migrate_evict_churn", BenchMigrateEvictChurn},
     {"sweep_wallclock", BenchSweepWallclock},
     {"large_footprint_btree", BenchLargeFootprintBtree},
+    {"large_footprint_btree_1024", BenchLargeFootprintBtree1024},
 };
 
 bool WantBenchmark(const std::string& filter, const char* name) {
