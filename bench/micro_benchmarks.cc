@@ -62,14 +62,22 @@ void BM_TlbAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbAccess);
 
+// Args: n, s x 100. (7, 0.9) and (24, 0.9) are paper-sized samplers on the
+// 2^12-entry guide table, (3072, 1.1) is graph500's vertex sampler on the
+// 2^16-entry table, and 2^20 is above kMaxGuidedN (no table).
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(5);
-  ZipfSampler zipf(1 << 20, 0.99);
+  ZipfSampler zipf(static_cast<uint64_t>(state.range(0)),
+                   static_cast<double>(state.range(1)) / 100.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(zipf.Sample(rng));
   }
 }
-BENCHMARK(BM_ZipfSample);
+BENCHMARK(BM_ZipfSample)
+    ->Args({7, 90})
+    ->Args({24, 90})
+    ->Args({3072, 110})
+    ->Args({1 << 20, 99});
 
 void BM_PebsOnEvent(benchmark::State& state) {
   PebsSampler sampler;

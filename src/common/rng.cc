@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -8,6 +9,19 @@ namespace memtis {
 namespace {
 
 constexpr uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+constexpr double kTwoPowMinus53 = 0x1.0p-53;
+
+// Guide-table entries that are not ranks.
+constexpr int16_t kGuideExact = -1;   // outcome varies inside the bucket
+constexpr int16_t kGuideReject = -2;  // every m in the bucket is rejected
+
+// Relative widening of a bucket's end values before its outcome is trusted.
+// HInverse's pow/exp are within a few ulp (~1e-16) of a monotone function, so
+// an x computed inside the bucket cannot leave the widened interval. U is
+// exactly monotone; its margin only guards against a compiler evaluating the
+// multiply-add differently here and in the draw.
+constexpr double kGuideMargin = 1e-9;
 
 }  // namespace
 
@@ -35,14 +49,11 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   return static_cast<uint64_t>((static_cast<__uint128_t>(Next()) * bound) >> 64);
 }
 
-double Rng::NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+double Rng::NextDouble() { return static_cast<double>(Next53()) * kTwoPowMinus53; }
+
+uint64_t Rng::Next53() { return Next() >> 11; }
 
 bool Rng::NextBool(double p_true) { return NextDouble() < p_true; }
-
-uint64_t Rng::NextInRange(uint64_t lo, uint64_t hi) {
-  SIM_DCHECK(lo <= hi);
-  return lo + NextBelow(hi - lo + 1);
-}
 
 // --- ZipfSampler -------------------------------------------------------------
 //
@@ -56,6 +67,10 @@ ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n), s_(s) {
   h_x1_ = H(1.5) - 1.0;
   h_n_ = H(static_cast<double>(n) + 0.5);
   threshold_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -s_));
+  if (n > 1 && n <= kMaxGuidedN) {
+    guide_bits_ = n <= 64 ? 12 : 16;
+    BuildGuide();
+  }
 }
 
 double ZipfSampler::H(double x) const {
@@ -72,28 +87,97 @@ double ZipfSampler::HInverse(double x) const {
   return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
 }
 
+double ZipfSampler::U(uint64_t m) const {
+  return h_n_ + static_cast<double>(m) * kTwoPowMinus53 * (h_x1_ - h_n_);
+}
+
+double ZipfSampler::RoundToRank(double x) const {
+  const double k = std::floor(x + 0.5);
+  if (k < 1.0) {
+    return 1.0;
+  }
+  return k > static_cast<double>(n_) ? static_cast<double>(n_) : k;
+}
+
+std::optional<uint64_t> ZipfSampler::ExactTrial(uint64_t m) const {
+  const double u = U(m);
+  const double x = HInverse(u);
+  const double k = RoundToRank(x);
+  if (k - x <= threshold_ || u >= H(k + 0.5) - std::pow(k, -s_)) {
+    return static_cast<uint64_t>(k) - 1;  // ranks are 0-based
+  }
+  return std::nullopt;
+}
+
+std::optional<uint64_t> ZipfSampler::Trial(uint64_t m) const {
+  SIM_DCHECK(m >> 53 == 0);
+  if (guide_bits_ != 0) {
+    const int16_t entry = guide_[m >> (53 - guide_bits_)];
+    if (entry >= 0) {
+      return static_cast<uint64_t>(entry);
+    }
+    if (entry == kGuideReject) {
+      return std::nullopt;
+    }
+  }
+  return ExactTrial(m);
+}
+
 uint64_t ZipfSampler::Sample(Rng& rng) const {
   if (n_ == 1) {
     return 0;
   }
   while (true) {
-    const double u = h_n_ + rng.NextDouble() * (h_x1_ - h_n_);
-    const double x = HInverse(u);
-    double k = std::floor(x + 0.5);
-    if (k < 1.0) {
-      k = 1.0;
-    } else if (k > static_cast<double>(n_)) {
-      k = static_cast<double>(n_);
-    }
-    if (k - x <= threshold_ || u >= H(k + 0.5) - std::pow(k, -s_)) {
-      return static_cast<uint64_t>(k) - 1;  // ranks are 0-based
+    if (const auto rank = Trial(rng.Next53())) {
+      return *rank;
     }
   }
 }
 
-double ParetoSampler::Sample(Rng& rng) const {
-  const double u = 1.0 - rng.NextDouble();  // in (0, 1]
-  return std::pow(u, -1.0 / alpha_);
+// Bucket b holds m in [b·2^shift, (b+1)·2^shift). U is monotone in m, so the
+// U values at those two edges bound every u a trial in the bucket computes,
+// and HInverse of them, widened by kGuideMargin, bounds every x. The bucket
+// is decided when that box has one rounded rank k and, for it, both
+// acceptance tests are constant: k - x is monotone in x and the u test
+// compares against one bound per k.
+void ZipfSampler::BuildGuide() {
+  const double u_margin = kGuideMargin * (std::fabs(h_n_) + std::fabs(h_x1_));
+  double bound_k = 0.0;  // the u test's bound, H(k + 0.5) - k^-s, for bound_k
+  double bound = 0.0;
+  const auto decide = [&](double u_min, double u_max, double x_lo, double x_hi) {
+    if (!std::isfinite(x_lo) || !std::isfinite(x_hi)) {
+      return kGuideExact;
+    }
+    x_lo -= std::fabs(x_lo) * kGuideMargin;
+    x_hi += std::fabs(x_hi) * kGuideMargin;
+    const double k = RoundToRank(x_lo);
+    if (RoundToRank(x_hi) != k) {
+      return kGuideExact;
+    }
+    if (k != bound_k) {
+      bound_k = k;
+      bound = H(k + 0.5) - std::pow(k, -s_);
+    }
+    if (k - x_lo <= threshold_ || u_min - u_margin >= bound) {
+      return static_cast<int16_t>(k - 1.0);
+    }
+    if (k - x_hi > threshold_ && u_max + u_margin < bound) {
+      return kGuideReject;
+    }
+    return kGuideExact;
+  };
+
+  const int shift = 53 - guide_bits_;
+  guide_.resize(uint64_t{1} << guide_bits_);
+  double u_edge = U(0);
+  double x_edge = HInverse(u_edge);
+  for (uint64_t b = 0; b < guide_.size(); ++b) {
+    const double u_next = U((b + 1) << shift);
+    const double x_next = HInverse(u_next);
+    guide_[b] = decide(u_next, u_edge, std::min(x_edge, x_next), std::max(x_edge, x_next));
+    u_edge = u_next;
+    x_edge = x_next;
+  }
 }
 
 std::vector<uint32_t> RandomPermutation(uint32_t n, Rng& rng) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "src/common/json.h"
 #include "src/common/json_parse.h"
 #include "src/common/netio.h"
+#include "src/common/rng.h"
 #include "src/runner/coordinator.h"
 #include "src/runner/work_queue.h"
 #include "src/runner/worker.h"
@@ -652,6 +654,89 @@ TEST(Fuzz, BuddyMatchesEagerReference) {
       RunBuddyLockstep(blocks, trial);
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+// ZipfSampler as it was before its guide table: rejection inversion with a
+// pow (or exp) on every trial. Kept as the oracle the table-driven sampler
+// must match draw for draw and uniform for uniform.
+class RejectionInversionReference {
+ public:
+  RejectionInversionReference(uint64_t n, double s) : n_(n), s_(s) {
+    h_x1_ = H(1.5) - 1.0;
+    h_n_ = H(static_cast<double>(n) + 0.5);
+    threshold_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -s_));
+  }
+
+  uint64_t Sample(Rng& rng) const {
+    if (n_ == 1) return 0;
+    while (true) {
+      const double u = h_n_ + rng.NextDouble() * (h_x1_ - h_n_);
+      const double x = HInverse(u);
+      double k = std::floor(x + 0.5);
+      if (k < 1.0) {
+        k = 1.0;
+      } else if (k > static_cast<double>(n_)) {
+        k = static_cast<double>(n_);
+      }
+      if (k - x <= threshold_ || u >= H(k + 0.5) - std::pow(k, -s_)) {
+        return static_cast<uint64_t>(k) - 1;
+      }
+    }
+  }
+
+ private:
+  double H(double x) const {
+    if (std::fabs(s_ - 1.0) < 1e-12) return std::log(x);
+    return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+  }
+  double HInverse(double x) const {
+    if (std::fabs(s_ - 1.0) < 1e-12) return std::exp(x);
+    return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
+  }
+
+  uint64_t n_;
+  double s_;
+  double h_x1_;
+  double h_n_;
+  double threshold_;
+};
+
+std::string RngState(Rng& rng) {
+  StateWriter w;
+  Rng::Serialize(w, rng);
+  return w.Take();
+}
+
+TEST(Fuzz, ZipfGuideTableMatchesRejectionInversion) {
+  // The sampler and the oracle draw from twin generators over random (n, s,
+  // seed): n of 1, 2, up to 64 (2^12-entry table), up to kMaxGuidedN (2^16,
+  // graph500's 3,072 among them) and above it (no table); s in [0.3, 1.2],
+  // or exactly 1 for the exp branch. Every rank and the generator state after
+  // the run must agree, so the same uniforms were consumed.
+  Rng pick(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    uint64_t n = 0;
+    switch (trial % 6) {
+      case 0: n = 1 + trial / 6 % 2; break;
+      case 1: n = 3 + pick.NextBelow(62); break;
+      case 2: n = 65 + pick.NextBelow(ZipfSampler::kMaxGuidedN - 64); break;
+      case 3: n = 3072; break;
+      case 4: n = ZipfSampler::kMaxGuidedN + 1 + pick.NextBelow(1 << 20); break;
+      default: n = 3 + pick.NextBelow(30); break;
+    }
+    const double s = trial % 5 == 0 ? 1.0 : 0.3 + 0.9 * pick.NextDouble();
+    const uint64_t seed = pick.Next();
+    SCOPED_TRACE("n " + std::to_string(n) + " s " + std::to_string(s) + " seed " +
+                 std::to_string(seed));
+    const ZipfSampler zipf(n, s);
+    const RejectionInversionReference reference(n, s);
+    Rng got_rng(seed);
+    Rng want_rng(seed);
+    for (int i = 0; i < 40'000; ++i) {
+      ASSERT_EQ(zipf.Sample(got_rng), reference.Sample(want_rng)) << "draw " << i;
+    }
+    ASSERT_EQ(RngState(got_rng), RngState(want_rng));
   }
 }
 

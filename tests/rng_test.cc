@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace memtis {
@@ -132,12 +133,41 @@ TEST_P(ZipfExponentTest, DistributionIsValidAcrossExponents) {
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfExponentTest,
                          ::testing::Values(0.3, 0.7, 0.9, 0.99, 1.0, 1.2, 1.5));
 
-TEST(ParetoSampler, ValuesAtLeastOne) {
-  Rng rng(29);
-  ParetoSampler pareto(1.5);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(pareto.Sample(rng), 1.0);
+// The (n, s) pairs the paper benchmarks sample at footprint scale 0.25:
+// graph500's vertices, pagerank, xsbench (two phases), liblinear, silo, btree
+// and 603.bwaves.
+struct PaperZipf {
+  uint64_t n;
+  double s;
+};
+constexpr PaperZipf kPaperZipfs[] = {{3072, 1.1}, {4, 0.7},  {7, 0.3},  {7, 1.2},
+                                     {24, 0.9},   {20, 0.99}, {20, 0.9}, {12, 0.7}};
+
+TEST(ZipfSampler, GuideTableMatchesArithmeticAtEveryBucketEdge) {
+  // Random draws almost never land next to a bucket edge, where a wrongly
+  // decided bucket first shows. Check m - 1, m and m + 1 at every edge m.
+  constexpr uint64_t kEnd = uint64_t{1} << 53;
+  for (const PaperZipf& p : kPaperZipfs) {
+    SCOPED_TRACE("n " + std::to_string(p.n) + " s " + std::to_string(p.s));
+    const ZipfSampler zipf(p.n, p.s);
+    ASSERT_EQ(zipf.guide_bits(), p.n <= 64 ? 12 : 16);
+    const uint64_t width = kEnd >> zipf.guide_bits();
+    for (uint64_t edge = 0; edge <= kEnd; edge += width) {
+      for (const uint64_t m : {edge - 1, edge, edge + 1}) {
+        if (m >= kEnd) continue;  // edge - 1 at 0 wraps; edge at the end is past it
+        ASSERT_EQ(zipf.Trial(m), zipf.ExactTrial(m)) << "m " << m;
+      }
+    }
   }
+}
+
+TEST(ZipfSampler, GuideTableSizedByN) {
+  EXPECT_EQ(ZipfSampler(1, 0.9).guide_bits(), 0);
+  EXPECT_EQ(ZipfSampler(2, 0.9).guide_bits(), 12);
+  EXPECT_EQ(ZipfSampler(64, 0.9).guide_bits(), 12);
+  EXPECT_EQ(ZipfSampler(65, 0.9).guide_bits(), 16);
+  EXPECT_EQ(ZipfSampler(ZipfSampler::kMaxGuidedN, 0.9).guide_bits(), 16);
+  EXPECT_EQ(ZipfSampler(ZipfSampler::kMaxGuidedN + 1, 0.9).guide_bits(), 0);
 }
 
 }  // namespace
