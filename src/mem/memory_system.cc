@@ -145,6 +145,20 @@ std::optional<std::pair<TierId, FrameId>> MemorySystem::AllocFrame(
   return std::nullopt;
 }
 
+std::pair<TierId, FrameId> MemorySystem::PlaceBaseFrame(const AllocOptions& options,
+                                                        TenantId tenant) {
+  auto placed = AllocFrame(PageKind::kBase, options, tenant);
+  if (!placed.has_value()) {
+    // An injected kAllocFail blocked the preferred tier and the other one is
+    // full: take the preferred tier uninjected, as SplitHugePage does.
+    if (auto frame = tier(options.preferred).allocator().Allocate(0)) {
+      placed = std::make_pair(options.preferred, *frame);
+    }
+  }
+  SIM_CHECK(placed.has_value());  // machine must be sized for the workload
+  return *placed;
+}
+
 void MemorySystem::MapPage(PageIndex index, Vpn vpn, PageKind kind, TierId tier_id,
                            FrameId frame, TenantId tenant) {
   PageInfo& p = pages_[index];
@@ -270,10 +284,8 @@ Vaddr MemorySystem::AllocateRegion(uint64_t bytes, const AllocOptions& options) 
     }
     // THP disabled or no huge frame available anywhere: fall back to base pages.
     for (uint64_t j = 0; j < kSubpagesPerHuge; ++j) {
-      auto placed = AllocFrame(PageKind::kBase, options, tenant);
-      SIM_CHECK(placed.has_value());  // machine must be sized for the workload
-      MapPage(NewPageSlot(), vpn + j, PageKind::kBase, placed->first, placed->second,
-              tenant);
+      const auto [tier_id, frame] = PlaceBaseFrame(options, tenant);
+      MapPage(NewPageSlot(), vpn + j, PageKind::kBase, tier_id, frame, tenant);
     }
   }
 
@@ -339,10 +351,9 @@ PageIndex MemorySystem::DemandFault(Vpn vpn, const AllocOptions& options) {
   const Region* region = RegionContaining(vpn);
   SIM_CHECK(region != nullptr);
   const TenantId tenant = region->tenant;  // owner, even if current changed
-  auto placed = AllocFrame(PageKind::kBase, options, tenant);
-  SIM_CHECK(placed.has_value());
+  const auto [tier_id, frame] = PlaceBaseFrame(options, tenant);
   const PageIndex index = NewPageSlot();
-  MapPage(index, vpn, PageKind::kBase, placed->first, placed->second, tenant);
+  MapPage(index, vpn, PageKind::kBase, tier_id, frame, tenant);
   ++migration_stats_.demand_faults;
   return index;
 }

@@ -563,6 +563,13 @@ class MemorySystem {
                                                        const AllocOptions& options,
                                                        TenantId tenant);
 
+  // AllocFrame for a base page that must be placed (region set-up, demand
+  // faults). An injected kAllocFail never aborts it: when the other tier is
+  // full too, the preferred tier is used uninjected. Aborts only when both
+  // tiers are out of frames.
+  std::pair<TierId, FrameId> PlaceBaseFrame(const AllocOptions& options,
+                                            TenantId tenant);
+
   void MapPage(PageIndex index, Vpn vpn, PageKind kind, TierId tier, FrameId frame,
                TenantId tenant);
   void UnmapAndFree(PageIndex index);
